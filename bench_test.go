@@ -262,10 +262,13 @@ func BenchmarkPVCurrentSolve(b *testing.B) {
 	_ = acc
 }
 
+// BenchmarkPVMaximumPowerPoint times the exact MPP solve: each iteration
+// asks at a distinct irradiance, so every call misses the process-wide
+// memo.
 func BenchmarkPVMaximumPowerPoint(b *testing.B) {
 	arr := pv.SouthamptonArray()
 	for i := 0; i < b.N; i++ {
-		if _, err := arr.MaximumPowerPoint(600 + float64(i%5)*100); err != nil {
+		if _, err := arr.MaximumPowerPoint(600 + float64(i)*1e-6); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -96,14 +96,14 @@ func (in *Integrator) bindBuffers(buf []float64, n, lanes, lane int) {
 // engine advances in lockstep: one segState per lane, each driven by the
 // same methods the scalar Integrate loop uses.
 type segState struct {
-	f      RHS
-	o      Options
-	y      []float64
-	t, t1  float64
-	h      float64
-	res    Result
-	err    error
-	done   bool
+	f     RHS
+	o     Options
+	y     []float64
+	t, t1 float64
+	h     float64
+	res   Result
+	err   error
+	done  bool
 	// Per-attempt state set by attemptPrepare and consumed by settleStep.
 	hs        float64
 	truncated bool

@@ -38,6 +38,13 @@ type Solver struct {
 	// diode residual, cutting typical iteration counts from ~5 to ~2.
 	prevI, prevV, prevIl, prevDf float64
 
+	// Run-invariant model terms, computed once in NewSolver: the string
+	// thermal voltage Ns·N·VT and the shunt term Rs/Rp of the residual
+	// slope.
+	vt, rsRp float64
+
+	// Per-irradiance memos, allocated on first insert: trace-free runs
+	// never solve an MPP, so most solvers never need them.
 	voc map[float64]float64
 	mpp map[float64]MPP
 }
@@ -59,14 +66,17 @@ func expm1(x float64) float64 {
 const memoCap = 4096
 
 // VocMemo is a per-irradiance open-circuit-voltage memo shareable by
-// every Solver in a batch whose arrays are value-equal. Voc is a pure
-// function of the array parameters and the irradiance — solveVoc always
-// cold-starts from the analytic estimate, unlike the MPP memo whose
-// golden search rides the owning solver's warm Newton state — so a shared
-// entry is bit-identical no matter which lane computed it first, and
-// sharing cannot perturb per-lane results. Sharing is guarded by Array
-// value equality in Solver.ShareVoc. A VocMemo is not safe for concurrent
-// use; share it only among solvers driven by one goroutine (one batch).
+// every Solver in a batch whose arrays are value-equal; it is the one
+// set-up cache still scoped to a lockstep batch (the exact MPP behind the
+// default initial and target voltages is memoised process-wide by
+// Array.MaximumPowerPoint for every path). Voc is a pure function of the
+// array parameters and the irradiance — solveVoc always cold-starts from
+// the analytic estimate, unlike the Solver's MPP memo whose golden search
+// rides the owning solver's warm Newton state — so a shared entry is
+// bit-identical no matter which lane computed it first, and sharing
+// cannot perturb per-lane results. Sharing is guarded by Array value
+// equality in Solver.ShareVoc. A VocMemo is not safe for concurrent use;
+// share it only among solvers driven by one goroutine (one batch).
 type VocMemo struct {
 	arr Array
 	voc map[float64]float64
@@ -90,50 +100,11 @@ func (s *Solver) ShareVoc(m *VocMemo) bool {
 	return true
 }
 
-// MPPCache memoises the exact Array.MaximumPowerPoint solve keyed by
-// (array parameter values, irradiance). Batch setup paths use it to
-// collapse the per-run default-voltage solves — the single most expensive
-// per-run setup cost — into one solve per distinct array across a batch.
-// The exact solve is a pure function of the key, so cached replies are
-// bit-identical to fresh ones. Not safe for concurrent use.
-type MPPCache struct {
-	m map[mppCacheKey]MPP
-}
-
-type mppCacheKey struct {
-	arr Array
-	g   float64
-}
-
-// MaximumPowerPoint returns the exact MPP for the array at irradiance g,
-// computing it at most once per distinct (array values, g).
-func (c *MPPCache) MaximumPowerPoint(a *Array, g float64) (MPP, error) {
-	key := mppCacheKey{arr: *a, g: g}
-	if m, ok := c.m[key]; ok {
-		return m, nil
-	}
-	m, err := a.MaximumPowerPoint(g)
-	if err != nil {
-		return MPP{}, err
-	}
-	if c.m == nil {
-		c.m = make(map[mppCacheKey]MPP, 4)
-	} else if len(c.m) >= memoCap {
-		clear(c.m)
-	}
-	c.m[key] = m
-	return m, nil
-}
-
 // NewSolver returns an accelerated solver for the array. The array
-// parameters must not be mutated while the solver is in use (memoised
-// results would go stale).
+// parameters must not be mutated while the solver is in use (the hoisted
+// model terms and memoised results would go stale).
 func NewSolver(a *Array) *Solver {
-	return &Solver{
-		a:   a,
-		voc: make(map[float64]float64),
-		mpp: make(map[float64]MPP),
-	}
+	return &Solver{a: a, vt: a.thermalVoltageString(), rsRp: a.Rs / a.Rp}
 }
 
 // Array returns the underlying array model.
@@ -145,7 +116,7 @@ func (s *Solver) Array() *Array { return s.a }
 // (~1e-12 relative).
 func (s *Solver) CurrentAt(v, g float64) (float64, error) {
 	il := s.a.LightCurrent(g)
-	vt := s.a.thermalVoltageString()
+	vt := s.vt
 
 	i := il
 	if s.warm {
@@ -165,7 +136,7 @@ func (s *Solver) CurrentAt(v, g float64) (float64, error) {
 		}
 		em1 := expm1(arg)
 		f := il - s.a.I0*em1 - (v+s.a.Rs*i)/s.a.Rp - i
-		df = -s.a.I0*(em1+1)*s.a.Rs/vt - s.a.Rs/s.a.Rp - 1
+		df = -s.a.I0*(em1+1)*s.a.Rs/vt - s.rsRp - 1
 		next := i - f/df
 		if math.IsNaN(next) || math.IsInf(next, 0) {
 			break
@@ -209,7 +180,9 @@ func (s *Solver) OpenCircuitVoltage(g float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if len(s.voc) >= memoCap {
+	if s.voc == nil {
+		s.voc = make(map[float64]float64)
+	} else if len(s.voc) >= memoCap {
 		// Clear in place rather than reallocating so a memo attached via
 		// ShareVoc stays shared across its batch after eviction.
 		clear(s.voc)
@@ -224,7 +197,7 @@ func (s *Solver) OpenCircuitVoltage(g float64) (float64, error) {
 // iterates decrease monotonically onto the root.
 func (s *Solver) solveVoc(g float64) (float64, error) {
 	il := s.a.LightCurrent(g)
-	vt := s.a.thermalVoltageString()
+	vt := s.vt
 	v := vt * math.Log(il/s.a.I0+1)
 	for iter := 0; iter < 60; iter++ {
 		arg := v / vt
@@ -272,7 +245,7 @@ func (s *Solver) MaximumPowerPoint(g float64) (MPP, error) {
 		return MPP{}, err
 	}
 	m := MPP{V: v, I: i, P: v * i}
-	if len(s.mpp) >= memoCap {
+	if s.mpp == nil || len(s.mpp) >= memoCap {
 		s.mpp = make(map[float64]MPP)
 	}
 	s.mpp[g] = m

@@ -189,26 +189,33 @@ func TestVocMemoSharingBitIdentical(t *testing.T) {
 	}
 }
 
-// TestMPPCacheBitIdentical checks the exact-MPP cache returns the same
-// bits as the uncached exact solve, across distinct arrays sharing one
-// cache.
-func TestMPPCacheBitIdentical(t *testing.T) {
-	var cache MPPCache
-	for _, arr := range []*Array{SouthamptonArray(), SmallArray()} {
-		for _, g := range []float64{StandardIrradiance, 250, 850} {
-			want, err := arr.MaximumPowerPoint(g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for pass := 0; pass < 2; pass++ { // miss, then hit
-				got, err := cache.MaximumPowerPoint(arr, g)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != want {
-					t.Errorf("pass %d: cached MPP %+v != exact %+v", pass, got, want)
-				}
-			}
-		}
+// TestSolverMemoMapsLazy checks a Solver allocates its memo maps only on
+// first insert, and that ShareVoc still attaches the shared map so
+// entries written through one solver land in the VocMemo.
+func TestSolverMemoMapsLazy(t *testing.T) {
+	s := NewSolver(SouthamptonArray())
+	if _, err := s.CurrentAt(5, 800); err != nil {
+		t.Fatal(err)
+	}
+	if s.voc != nil || s.mpp != nil {
+		t.Fatal("CurrentAt allocated the memo maps")
+	}
+	if _, err := s.AvailablePower(800); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.voc) != 1 || len(s.mpp) != 1 {
+		t.Fatalf("after one MPP solve: %d Voc and %d MPP entries, want 1 each", len(s.voc), len(s.mpp))
+	}
+
+	memo := NewVocMemo(SouthamptonArray())
+	shared := NewSolver(SouthamptonArray())
+	if !shared.ShareVoc(memo) {
+		t.Fatal("ShareVoc refused value-equal arrays")
+	}
+	if _, err := shared.OpenCircuitVoltage(800); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := memo.voc[800]; !ok || v != s.voc[800] {
+		t.Fatalf("shared memo entry %g (present %v), private %g", v, ok, s.voc[800])
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 )
 
 // Profile yields irradiance in W/m² as a function of time in seconds.
@@ -193,6 +194,12 @@ func Hailstorm(span float64) CloudParams {
 		MinTransmission: 0.05, MaxTransmission: 0.3, EdgeSeconds: 3}
 }
 
+// cloudRNGs recycles the generators behind NewClouds: a math/rand
+// source is a ≈4.9 KB table, and every seeded run would otherwise
+// allocate one. Rand.Seed re-seeds the source in full (Source.Seed), so a
+// recycled generator draws exactly the stream of rand.NewSource(seed).
+var cloudRNGs = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
 // NewClouds overlays a cloud process on base using the given params and
 // seed. A MeanGap of +Inf produces a cloud-free overlay.
 func NewClouds(base Profile, p CloudParams, seed int64) *Clouds {
@@ -200,7 +207,15 @@ func NewClouds(base Profile, p CloudParams, seed int64) *Clouds {
 	if math.IsInf(p.MeanGap, 1) || p.MeanGap <= 0 || p.Span <= 0 {
 		return c
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := cloudRNGs.Get().(*rand.Rand)
+	defer cloudRNGs.Put(rng)
+	rng.Seed(seed)
+	drawClouds(c, p, rng)
+	return c
+}
+
+// drawClouds appends the cloud events of p drawn from rng to c.
+func drawClouds(c *Clouds, p CloudParams, rng *rand.Rand) {
 	t := rng.ExpFloat64() * p.MeanGap
 	for t < p.Span {
 		dur := rng.ExpFloat64() * p.MeanDuration
@@ -209,7 +224,6 @@ func NewClouds(base Profile, p CloudParams, seed int64) *Clouds {
 		c.events = append(c.events, cloudEvent{start: t, duration: dur, edge: edge, transmission: tr})
 		t += dur + 2*edge + rng.ExpFloat64()*p.MeanGap
 	}
-	return c
 }
 
 // Irradiance implements Profile. Overlapping events multiply, which

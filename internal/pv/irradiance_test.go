@@ -2,6 +2,9 @@ package pv
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -188,5 +191,55 @@ func TestQuickProfilesNonNegative(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCloudsPooledRNGMatchesFreshSource checks that NewClouds, which
+// re-seeds recycled generators, draws exactly the events a fresh
+// rand.NewSource(seed) gives — for 1000 seeds visited in interleaved
+// order (so each generator is reused across unrelated seeds) and from
+// concurrent goroutines (run under -race in CI).
+func TestCloudsPooledRNGMatchesFreshSource(t *testing.T) {
+	const seeds = 1000
+	p := Hailstorm(3600)
+	want := make([][]cloudEvent, seeds)
+	for s := range want {
+		c := &Clouds{}
+		drawClouds(c, p, rand.New(rand.NewSource(int64(s))))
+		want[s] = c.events
+	}
+	check := func(seed int) bool {
+		return reflect.DeepEqual(NewClouds(Constant(1000), p, int64(seed)).events, want[seed])
+	}
+
+	// Interleaved: alternate between the low and high ends of the range.
+	for k := 0; k < seeds/2; k++ {
+		for _, s := range []int{k, seeds - 1 - k} {
+			if !check(s) {
+				t.Fatalf("seed %d: pooled events differ from a fresh source", s)
+			}
+		}
+	}
+
+	const workers = 4
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	var bad []int
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for s := w; s < seeds; s += workers {
+				if !check(s) {
+					mu.Lock()
+					bad = append(bad, s)
+					mu.Unlock()
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if len(bad) > 0 {
+		t.Fatalf("concurrent NewClouds differed from a fresh source at seeds %v", bad)
 	}
 }

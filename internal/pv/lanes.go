@@ -22,20 +22,19 @@ import "math"
 // The zero value is ready to use; scratch is sized on first call. A
 // LaneSolver is not safe for concurrent use.
 type LaneSolver struct {
-	il, vt []float64
-	act    []int
-	fb     []int
+	il  []float64
+	act []int
+	fb  []int
 }
 
 // ensure sizes the per-lane scratch for n lanes, reusing capacity.
 func (ls *LaneSolver) ensure(n int) {
 	if cap(ls.il) < n {
 		ls.il = make([]float64, n)
-		ls.vt = make([]float64, n)
 		ls.act = make([]int, 0, n)
 		ls.fb = make([]int, 0, n)
 	}
-	ls.il, ls.vt = ls.il[:n], ls.vt[:n]
+	ls.il = ls.il[:n]
 }
 
 // SolveLanes solves the implicit single-diode equation of every lane in
@@ -66,7 +65,7 @@ func (ls *LaneSolver) SolveLanes(solvers []*Solver, vs, gs, out []float64, errs 
 				i += -(s.prevDf+1)/(s.a.Rs*s.prevDf)*(vs[j]-s.prevV) - (il-s.prevIl)/s.prevDf
 			}
 		}
-		ls.il[j], ls.vt[j] = il, s.a.thermalVoltageString()
+		ls.il[j] = il
 		out[j] = i
 		errs[j] = nil
 		act = append(act, j)
@@ -83,13 +82,13 @@ func (ls *LaneSolver) SolveLanes(solvers []*Solver, vs, gs, out []float64, errs 
 		for _, j := range act {
 			s := solvers[j]
 			v, i := vs[j], out[j]
-			arg := (v + s.a.Rs*i) / ls.vt[j]
+			arg := (v + s.a.Rs*i) / s.vt
 			if arg > 500 {
 				arg = 500
 			}
 			em1 := expm1(arg)
 			f := ls.il[j] - s.a.I0*em1 - (v+s.a.Rs*i)/s.a.Rp - i
-			df := -s.a.I0*(em1+1)*s.a.Rs/ls.vt[j] - s.a.Rs/s.a.Rp - 1
+			df := -s.a.I0*(em1+1)*s.a.Rs/s.vt - s.rsRp - 1
 			next := i - f/df
 			if math.IsNaN(next) || math.IsInf(next, 0) {
 				fb = append(fb, j)

@@ -1,6 +1,9 @@
 package pv
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // MPP describes a maximum power point of the array at some irradiance.
 type MPP struct {
@@ -33,12 +36,52 @@ func goldenMPPVoltage(voc float64, power func(v float64) float64) float64 {
 	return 0.5 * (lo + hi)
 }
 
+// mppMemo memoises the exact MaximumPowerPoint solve process-wide, keyed
+// by (array parameter values, irradiance). Every run assembled over the
+// same array solves the same standard-irradiance MPP for its default
+// initial and target voltages; the solve is a pure function of the key,
+// so a memoised answer is bit-identical to a fresh one, and a mutated
+// array is a different key rather than a stale hit. The map is bounded
+// by memoCap and cleared when full.
+var mppMemo struct {
+	sync.Mutex
+	m map[mppKey]MPP
+}
+
+type mppKey struct {
+	arr Array
+	g   float64
+}
+
 // MaximumPowerPoint locates the MPP at irradiance g by golden-section
-// search over [0, Voc]. At zero irradiance it returns a zero MPP.
+// search over [0, Voc], memoised per (array values, g). At zero
+// irradiance it returns a zero MPP. Safe for concurrent use.
 func (a *Array) MaximumPowerPoint(g float64) (MPP, error) {
 	if g <= 0 {
 		return MPP{}, nil
 	}
+	key := mppKey{arr: *a, g: g}
+	mppMemo.Lock()
+	m, ok := mppMemo.m[key]
+	mppMemo.Unlock()
+	if ok {
+		return m, nil
+	}
+	m, err := a.solveMPP(g)
+	if err != nil {
+		return MPP{}, err
+	}
+	mppMemo.Lock()
+	if mppMemo.m == nil || len(mppMemo.m) >= memoCap {
+		mppMemo.m = make(map[mppKey]MPP, 4)
+	}
+	mppMemo.m[key] = m
+	mppMemo.Unlock()
+	return m, nil
+}
+
+// solveMPP is the uncached exact solve behind MaximumPowerPoint, for g > 0.
+func (a *Array) solveMPP(g float64) (MPP, error) {
 	voc, err := a.OpenCircuitVoltage(g)
 	if err != nil {
 		return MPP{}, err

@@ -81,10 +81,7 @@ func TestBatchEngineBitIdenticalToScalar(t *testing.T) {
 				}
 
 				for _, w := range widths {
-					cfgs, err := AssembleGroup(specs, seeds)
-					if err != nil {
-						t.Fatalf("W=%d AssembleGroup: %v", w, err)
-					}
+					cfgs := assembleAll(t, specs, seeds)
 					results, errs := sim.BatchEngine{W: w}.RunGroup(cfgs)
 					for i := range results {
 						if errs[i] != nil {
@@ -132,15 +129,25 @@ func TestBatchEngineMixedSpecsOneBatch(t *testing.T) {
 		want[i] = res
 	}
 
-	cfgs, err := AssembleGroup(specs, seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, errs := sim.RunBatch(cfgs)
+	results, errs := sim.RunBatch(assembleAll(t, specs, seeds))
 	for i := range results {
 		if errs[i] != nil {
 			t.Fatalf("lane %d (%s): %v", i, mix[i].name, errs[i])
 		}
 		testutil.RequireEqualResults(t, fmt.Sprintf("lane %d (%s)", i, mix[i].name), results[i], want[i])
 	}
+}
+
+// assembleAll assembles one config per (spec, seed) pair.
+func assembleAll(t *testing.T, specs []Spec, seeds []int64) []sim.Config {
+	t.Helper()
+	cfgs := make([]sim.Config, len(specs))
+	for i := range specs {
+		cfg, err := specs[i].Assemble(seeds[i])
+		if err != nil {
+			t.Fatalf("assemble %s seed %d: %v", specs[i].Name, seeds[i], err)
+		}
+		cfgs[i] = cfg
+	}
+	return cfgs
 }

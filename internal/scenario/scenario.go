@@ -179,34 +179,10 @@ func (s Spec) boot() soc.OPP {
 // Assemble builds a runnable sim.Config from the spec: a fresh platform
 // and controller, the profile realised from seed. Each call returns an
 // independent configuration, so assembled runs can execute concurrently.
+// The exact MPP solve behind the InitialVC default is memoised
+// process-wide (pv.Array.MaximumPowerPoint), so runs over one array pay
+// for it once.
 func (s Spec) Assemble(seed int64) (sim.Config, error) {
-	return s.assemble(seed, nil)
-}
-
-// AssembleGroup assembles one config per (spec, seed) pair with
-// batch-shared setup: the exact MPP solve behind the InitialVC default —
-// the dominant cost of assembling a PV run — is computed once per
-// distinct array across the group instead of once per run. The cache is
-// bit-transparent, so every config is identical to what Assemble would
-// have produced; each gets its own platform and controller, ready for
-// sim.RunBatch or an Engine group.
-func AssembleGroup(specs []Spec, seeds []int64) ([]sim.Config, error) {
-	if len(specs) != len(seeds) {
-		return nil, fmt.Errorf("scenario: AssembleGroup got %d specs and %d seeds", len(specs), len(seeds))
-	}
-	var mpps pv.MPPCache
-	cfgs := make([]sim.Config, len(specs))
-	for i := range specs {
-		cfg, err := specs[i].assemble(seeds[i], &mpps)
-		if err != nil {
-			return nil, err
-		}
-		cfgs[i] = cfg
-	}
-	return cfgs, nil
-}
-
-func (s Spec) assemble(seed int64, mpps *pv.MPPCache) (sim.Config, error) {
 	if err := s.validate(); err != nil {
 		return sim.Config{}, err
 	}
@@ -217,13 +193,7 @@ func (s Spec) assemble(seed int64, mpps *pv.MPPCache) (sim.Config, error) {
 	}
 	initialVC := s.InitialVC
 	if initialVC == 0 {
-		var mpp pv.MPP
-		var err error
-		if mpps != nil {
-			mpp, err = mpps.MaximumPowerPoint(arr, pv.StandardIrradiance)
-		} else {
-			mpp, err = arr.MaximumPowerPoint(pv.StandardIrradiance)
-		}
+		mpp, err := arr.MaximumPowerPoint(pv.StandardIrradiance)
 		if err != nil {
 			return sim.Config{}, err
 		}

@@ -278,6 +278,10 @@ type engine struct {
 	pendKind       segKind
 	pendT0, pendT1 float64
 	pendWhich      core.Crossing // crossing being serviced across a delay segment
+	// pendPower is the board power draw over the armed segment, read once
+	// by arm: platform state only changes in settle, so it is constant
+	// for the whole integration and the RHS need not recompute it.
+	pendPower float64
 
 	res Result
 }
@@ -424,14 +428,8 @@ func (e *engine) finish() *Result {
 	return &e.res
 }
 
-func validate(cfg *Config) error { return validateCached(cfg, nil) }
-
-// validateCached is validate with an optional shared exact-MPP cache: the
-// TargetVolts default requires an exact MPP solve — the most expensive
-// part of per-run setup — and a batch of runs over value-equal arrays
-// needs it only once. The cache returns bit-identical values to the
-// uncached solve, so scalar and batched validation agree exactly.
-func validateCached(cfg *Config, mpps *pv.MPPCache) error {
+// validate checks cfg and fills its defaults in place.
+func validate(cfg *Config) error {
 	if cfg.Source == nil {
 		if cfg.Array == nil || cfg.Profile == nil {
 			return errors.New("sim: set Config.Source, or Config.Array and Config.Profile")
@@ -490,13 +488,7 @@ func validateCached(cfg *Config, mpps *pv.MPPCache) error {
 	}
 	if cfg.TargetVolts == 0 {
 		if cfg.Array != nil {
-			var m pv.MPP
-			var err error
-			if mpps != nil {
-				m, err = mpps.MaximumPowerPoint(cfg.Array, pv.StandardIrradiance)
-			} else {
-				m, err = cfg.Array.MaximumPowerPoint(pv.StandardIrradiance)
-			}
+			m, err := cfg.Array.MaximumPowerPoint(pv.StandardIrradiance)
 			if err != nil {
 				return err
 			}
@@ -554,12 +546,12 @@ func (e *engine) netCurrent(t, v float64) float64 {
 // the scalar RHS and the batched cross-lane evaluator so both compute
 // the identical value.
 func (e *engine) loadCurrent(v float64) float64 {
-	iload := 0.0
-	if e.alive {
-		iload = e.platform.CurrentDraw(v)
-		if e.hw != nil && v > 0 {
-			iload += e.hw.PowerWatts() / v
-		}
+	if !e.alive || v <= 0 {
+		return 0
+	}
+	iload := soc.SupplyCurrent(e.pendPower, v)
+	if e.hw != nil {
+		iload += e.hw.PowerWatts() / v
 	}
 	return iload
 }
@@ -738,11 +730,17 @@ func (e *engine) nextSegment() bool {
 		if segEnd <= e.now {
 			segEnd = math.Nextafter(e.now, math.Inf(1))
 		}
-		e.pendArmed = true
-		e.pendKind = segMain
-		e.pendT0, e.pendT1 = e.now, segEnd
+		e.arm(segMain, segEnd)
 		return true
 	}
+}
+
+// arm requests integration of a kind segment from now to t1, reading the
+// board power draw the segment's RHS evaluations use.
+func (e *engine) arm(kind segKind, t1 float64) {
+	e.pendArmed, e.pendKind = true, kind
+	e.pendT0, e.pendT1 = e.now, t1
+	e.pendPower = e.platform.PowerDraw()
 }
 
 // pendOptions builds the ODE options for the armed segment. Main
@@ -940,9 +938,7 @@ func (e *engine) beginService(which core.Crossing) error {
 		ch = e.hw.High
 	}
 	if delay := ch.InterruptDelay(); delay > 0 {
-		e.pendArmed = true
-		e.pendKind = segDelay
-		e.pendT0, e.pendT1 = e.now, e.now+delay
+		e.arm(segDelay, e.now+delay)
 		e.pendWhich = which
 		return nil
 	}

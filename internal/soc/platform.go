@@ -250,19 +250,26 @@ func (p *Platform) PowerDraw() float64 {
 	return p.Power.Power(p.cur, p.utilisation)
 }
 
-// CurrentDraw returns supply current in amps at supply voltage v,
-// modelling the regulator as a constant-power load. Below a deep
-// under-voltage lockout the regulator stops switching and the draw
-// collapses resistively instead of demanding unbounded current.
+// CurrentDraw returns supply current in amps at supply voltage v: the
+// present PowerDraw through SupplyCurrent.
 func (p *Platform) CurrentDraw(v float64) float64 {
 	if v <= 0 || !p.alive {
 		return 0
 	}
+	return SupplyCurrent(p.PowerDraw(), v)
+}
+
+// SupplyCurrent returns the supply current in amps of a board drawing pw
+// watts at supply voltage v > 0, modelling the regulator as a
+// constant-power load. Below a deep under-voltage lockout the regulator
+// stops switching and the draw collapses resistively instead of
+// demanding unbounded current.
+func SupplyCurrent(pw, v float64) float64 {
 	const uvlo = 2.0 // volts; well below the 4.1 V brownout threshold
 	if v < uvlo {
-		return p.PowerDraw() / uvlo * (v / uvlo)
+		return pw / uvlo * (v / uvlo)
 	}
-	return p.PowerDraw() / v
+	return pw / v
 }
 
 // Instructions returns total completed instructions.

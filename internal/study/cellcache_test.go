@@ -28,12 +28,14 @@ func cellCacheStudy(t *testing.T, reps int, storages []Level) Study {
 	}
 }
 
-func idealLevel() Level    { return Storage("ideal", sim.IdealCap{Farads: 0.047}) }
-func ideal2Level() Level   { return Storage("ideal-2", sim.IdealCap{Farads: 0.1}) }
-func hybridLevel() Level { return Storage("hybrid", sim.HybridCap{
-	NodeFarads: 0.01, ReservoirFarads: 1, DiodeDropVolts: 0.35,
-	DiodeOhms: 0.2, ChargeOhms: 10, LeakOhms: 20000,
-}) }
+func idealLevel() Level  { return Storage("ideal", sim.IdealCap{Farads: 0.047}) }
+func ideal2Level() Level { return Storage("ideal-2", sim.IdealCap{Farads: 0.1}) }
+func hybridLevel() Level {
+	return Storage("hybrid", sim.HybridCap{
+		NodeFarads: 0.01, ReservoirFarads: 1, DiodeDropVolts: 0.35,
+		DiodeOhms: 0.2, ChargeOhms: 10, LeakOhms: 20000,
+	})
+}
 
 func TestCellIdentityDigests(t *testing.T) {
 	st := cellCacheStudy(t, 3, []Level{idealLevel(), ideal2Level()})
