@@ -4,23 +4,23 @@
 // harnesses:
 //
 //	pnbench [-out BENCH_campaign.json] [-bench regex] [-benchtime 5x] [-count 1] [-pkg ./...]
-//	pnbench -engine batched ...
 //	pnbench -compare old.json ...
 //
 // It shells out to `go test -run ^$ -bench <regex> -benchmem` and
 // parses the standard benchmark output into one record per benchmark:
 // iterations, ns/op, B/op, allocs/op and any custom metrics
-// (e.g. meanPct5 for campaign stability). Engine-mode sub-benchmarks
-// ("…/engine=batched-w8") additionally record the execution engine and
-// its lockstep batch width. The default benchmark set is the
-// perf-critical path: the storage-dispatch alloc guard, the end-to-end
-// controller minute, the trace-free campaign in both engine modes and
-// the integrator segment.
+// (e.g. meanPct5 for campaign stability). The default benchmark set is
+// the perf-critical path: the storage-dispatch alloc guard, the
+// end-to-end controller minute, the trace-free campaign, the integrator
+// segment and the serve cache.
 //
 // -compare gates the fresh run against a previous report: any
 // allocs/op increase, or an ns/op slowdown beyond 15%, on a benchmark
 // present in both reports prints a diagnostic and exits non-zero — the
-// CI perf gate, replacing ad-hoc output greps.
+// CI perf gate, replacing ad-hoc output greps. Benchmarks are matched
+// by name without go test's GOMAXPROCS suffix, so reports taken at
+// different CPU counts still compare; the parallel benchmarks' alloc
+// counts depend on GOMAXPROCS, so gate at the baseline's GOMAXPROCS.
 package main
 
 import (
@@ -36,11 +36,11 @@ import (
 )
 
 // defaultBench selects the benchmarks whose numbers the README quotes.
-const defaultBench = "BenchmarkStorageDispatch|BenchmarkSimControllerMinute|BenchmarkCampaignTraceFree|BenchmarkIntegratorSegment|BenchmarkBatchRound|BenchmarkSolveLanes|BenchmarkServeCache"
+const defaultBench = "BenchmarkStorageDispatch|BenchmarkSimControllerMinute|BenchmarkCampaignTraceFree|BenchmarkIntegratorSegment|BenchmarkServeCache"
 
 // defaultBenchtime is the default -benchtime. A fixed iteration count
 // (-Nx) keeps runs reproducible; 50 iterations keeps the short
-// benchmarks (a lockstep round, a segment) far enough above timer and
+// benchmarks (a storage dispatch, a segment) far enough above timer and
 // re-arm jitter that the -compare tolerance is meaningful.
 const defaultBenchtime = "50x"
 
@@ -58,12 +58,6 @@ type Result struct {
 	// BytesPerOp and AllocsPerOp are present with -benchmem.
 	BytesPerOp  *float64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
-	// Engine and BatchWidth identify the execution engine of engine-mode
-	// sub-benchmarks, parsed from an "engine=<name>[-wN]" path element
-	// ("scalar"; "batched" with its lockstep lane count). Empty and zero
-	// for engine-agnostic benchmarks.
-	Engine     string `json:"engine,omitempty"`
-	BatchWidth int    `json:"batch_width,omitempty"`
 	// Metrics holds custom b.ReportMetric values by unit name.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
@@ -92,7 +86,6 @@ func main() {
 		benchtime = flag.String("benchtime", defaultBenchtime, "go test -benchtime value (fixed -Nx iteration counts keep runs reproducible)")
 		count     = flag.Int("count", 1, "go test -count value")
 		pkg       = flag.String("pkg", "./...", "package pattern to benchmark")
-		engineSel = flag.String("engine", "", "run engine-mode sub-benchmarks for this engine only: scalar or batched (default both; engine-agnostic benchmarks always run)")
 		compare   = flag.String("compare", "", "previous report JSON to gate against (>15% ns/op or any allocs/op regression exits non-zero)")
 		verbose   = flag.Bool("v", false, "echo the raw go test output to stderr")
 	)
@@ -119,16 +112,7 @@ func main() {
 		}
 	}
 
-	// -engine narrows the third sub-benchmark level to one engine mode;
-	// go test matches slash-separated patterns level by level and
-	// ignores pattern levels deeper than a benchmark's name, so
-	// benchmarks without an engine level are unaffected.
-	benchArg := *bench
-	if *engineSel != "" {
-		benchArg = fmt.Sprintf("(%s)/.*/engine=%s", *bench, *engineSel)
-	}
-
-	args := []string{"test", "-run", "^$", "-bench", benchArg, "-benchmem",
+	args := []string{"test", "-run", "^$", "-bench", *bench, "-benchmem",
 		"-benchtime", *benchtime, "-count", strconv.Itoa(*count), *pkg}
 	cmd := exec.Command("go", args...)
 	cmd.Stderr = os.Stderr
@@ -148,7 +132,7 @@ func main() {
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 		Timestamp:  time.Now().UTC().Format(time.RFC3339),
-		Bench:      benchArg,
+		Bench:      *bench,
 		Benchtime:  *benchtime,
 		Results:    parseBenchOutput(string(raw)),
 	}
@@ -226,16 +210,17 @@ func readReport(path string) (Report, error) {
 
 // compareReports returns one diagnostic per regression of cur against
 // prev: any allocs/op increase, or an ns/op slowdown beyond nsTolerance.
-// Results are matched by package and full benchmark name; benchmarks
-// absent from the baseline are new, not regressions, and are skipped.
+// Results are matched by package and benchmark name without the
+// GOMAXPROCS suffix (see benchKey); benchmarks absent from the baseline
+// are new, not regressions, and are skipped.
 func compareReports(prev, cur Report) []string {
 	base := make(map[string]Result, len(prev.Results))
 	for _, r := range prev.Results {
-		base[r.Package+" "+r.Name] = r
+		base[benchKey(r, prev.GOMAXPROCS)] = r
 	}
 	var regs []string
 	for _, r := range cur.Results {
-		b, ok := base[r.Package+" "+r.Name]
+		b, ok := base[benchKey(r, cur.GOMAXPROCS)]
 		if !ok {
 			continue
 		}
@@ -251,28 +236,17 @@ func compareReports(prev, cur Report) []string {
 	return regs
 }
 
-// parseEngine extracts the execution engine and lockstep batch width
-// from an "engine=<name>[-wN]" path element of a benchmark name, e.g.
-// "BenchmarkCampaignTraceFree/workers=1/engine=batched-w8-4" (the
-// trailing "-4" being go test's GOMAXPROCS suffix) yields ("batched",
-// 8). Names without an engine element yield ("", 0).
-func parseEngine(name string) (engine string, width int) {
-	for _, el := range strings.Split(name, "/") {
-		if !strings.HasPrefix(el, "engine=") {
-			continue
-		}
-		parts := strings.Split(strings.TrimPrefix(el, "engine="), "-")
-		engine = parts[0]
-		for _, p := range parts[1:] {
-			if len(p) > 1 && p[0] == 'w' {
-				if n, err := strconv.Atoi(p[1:]); err == nil {
-					width = n
-				}
-			}
-		}
-		return engine, width
+// benchKey identifies a result across reports: its package and its
+// name without the "-N" suffix go test appends when GOMAXPROCS N > 1.
+// procs is the GOMAXPROCS of the report the result came from, so only
+// that exact suffix is removed and a sub-benchmark whose own name ends
+// in digits is left alone.
+func benchKey(r Result, procs int) string {
+	name := r.Name
+	if procs > 1 {
+		name = strings.TrimSuffix(name, "-"+strconv.Itoa(procs))
 	}
-	return "", 0
+	return r.Package + " " + name
 }
 
 // parseBenchOutput extracts benchmark result lines from go test output.
@@ -312,7 +286,6 @@ func parseBenchLine(line, pkg string) (Result, bool) {
 		return Result{}, false
 	}
 	r := Result{Name: fields[0], Package: pkg, Iterations: iters}
-	r.Engine, r.BatchWidth = parseEngine(fields[0])
 	seen := false
 	// The remainder is (value, unit) pairs.
 	for i := 2; i+1 < len(fields); i += 2 {

@@ -1,29 +1,15 @@
 package main
 
 import (
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
 
 func f64(v float64) *float64 { return &v }
-
-func TestParseEngine(t *testing.T) {
-	cases := []struct {
-		name, engine string
-		width        int
-	}{
-		{"BenchmarkCampaignTraceFree/workers=1/engine=scalar", "scalar", 0},
-		{"BenchmarkCampaignTraceFree/workers=1/engine=batched-w8", "batched", 8},
-		{"BenchmarkCampaignTraceFree/workers=4/engine=batched-w8-4", "batched", 8},
-		{"BenchmarkStorageDispatch/ideal-8", "", 0},
-	}
-	for _, c := range cases {
-		eng, w := parseEngine(c.name)
-		if eng != c.engine || w != c.width {
-			t.Errorf("parseEngine(%q) = (%q, %d), want (%q, %d)", c.name, eng, w, c.engine, c.width)
-		}
-	}
-}
 
 func TestCompareReports(t *testing.T) {
 	prev := Report{Results: []Result{
@@ -68,13 +54,82 @@ func TestBenchtimeMismatch(t *testing.T) {
 	}
 }
 
-func TestDefaultBenchCoversBatchKernels(t *testing.T) {
-	// The README-quoted set must include the lockstep micro-benchmarks so
-	// the CI allocs gate watches Round and SolveLanes steady state.
-	for _, want := range []string{"BenchmarkBatchRound", "BenchmarkSolveLanes", "BenchmarkCampaignTraceFree"} {
-		if !strings.Contains(defaultBench, want) {
-			t.Errorf("defaultBench is missing %s", want)
+// TestBenchKeyStripsGOMAXPROCSSuffix: results match across reports taken
+// at different GOMAXPROCS, and only the report's own suffix is removed.
+func TestBenchKeyStripsGOMAXPROCSSuffix(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		procs int
+		want  string
+	}{
+		{"BenchmarkCampaignTraceFree/workers=1", 1, "p BenchmarkCampaignTraceFree/workers=1"},
+		{"BenchmarkCampaignTraceFree/workers=1-4", 4, "p BenchmarkCampaignTraceFree/workers=1"},
+		{"BenchmarkStorageDispatch/ideal-8", 8, "p BenchmarkStorageDispatch/ideal"},
+		// A report without a recorded GOMAXPROCS strips nothing.
+		{"BenchmarkStorageDispatch/ideal-8", 0, "p BenchmarkStorageDispatch/ideal-8"},
+		// A sub-benchmark name ending in digits keeps them at GOMAXPROCS 1
+		// and loses only the appended suffix otherwise.
+		{"BenchmarkX/width-8", 1, "p BenchmarkX/width-8"},
+		{"BenchmarkX/width-8-2", 2, "p BenchmarkX/width-8"},
+		{"BenchmarkX/width-8", 2, "p BenchmarkX/width-8"},
+	} {
+		if got := benchKey(Result{Name: c.name, Package: "p"}, c.procs); got != c.want {
+			t.Errorf("benchKey(%q, %d) = %q, want %q", c.name, c.procs, got, c.want)
 		}
+	}
+}
+
+// TestCompareReportsAcrossGOMAXPROCS: a baseline recorded at GOMAXPROCS 1
+// (no name suffix) still gates a run on a 4-CPU machine ("-4" suffix).
+func TestCompareReportsAcrossGOMAXPROCS(t *testing.T) {
+	prev := Report{GOMAXPROCS: 1, Results: []Result{
+		{Name: "BenchmarkCampaignTraceFree/workers=1", Package: "p", AllocsPerOp: f64(10)},
+	}}
+	cur := Report{GOMAXPROCS: 4, Results: []Result{
+		{Name: "BenchmarkCampaignTraceFree/workers=1-4", Package: "p", AllocsPerOp: f64(11)},
+	}}
+	regs := compareReports(prev, cur)
+	if len(regs) != 1 || !strings.Contains(regs[0], "allocs/op") {
+		t.Fatalf("alloc increase across GOMAXPROCS not gated: %v", regs)
+	}
+}
+
+// TestDefaultBenchNamesDefinedBenchmarks: every benchmark the default
+// set selects is defined somewhere in the module, so deleting a
+// benchmark cannot silently shrink the recorded set, and the campaign
+// benchmark the README quotes is part of it.
+func TestDefaultBenchNamesDefinedBenchmarks(t *testing.T) {
+	defined := map[string]bool{}
+	err := filepath.WalkDir("../..", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "../.." && strings.HasPrefix(d.Name(), ".") {
+			return fs.SkipDir // .git, build caches
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range regexp.MustCompile(`(?m)^func (Benchmark\w+)\(`).FindAllSubmatch(src, -1) {
+			defined[string(m[1])] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := strings.Split(defaultBench, "|")
+	for _, name := range names {
+		if !defined[name] {
+			t.Errorf("defaultBench names %s, which no _test.go file defines", name)
+		}
+	}
+	if !strings.Contains(defaultBench, "BenchmarkCampaignTraceFree") {
+		t.Error("defaultBench is missing BenchmarkCampaignTraceFree")
 	}
 }
 
@@ -98,15 +153,12 @@ func TestParseBenchLine(t *testing.T) {
 
 func TestParseBenchLineCustomMetrics(t *testing.T) {
 	r, ok := parseBenchLine(
-		"BenchmarkCampaignTraceFree/workers=4/engine=batched-w8 \t 3\t 11937706 ns/op\t 22.02 meanPct5\t 452954 B/op\t 1453 allocs/op", "p")
+		"BenchmarkCampaignTraceFree/workers=4-4 \t 3\t 11937706 ns/op\t 22.02 meanPct5\t 452954 B/op\t 1453 allocs/op", "p")
 	if !ok {
 		t.Fatal("line rejected")
 	}
 	if r.Metrics["meanPct5"] != 22.02 {
 		t.Errorf("custom metric: %+v", r.Metrics)
-	}
-	if r.Engine != "batched" || r.BatchWidth != 8 {
-		t.Errorf("engine attribution: %+v", r)
 	}
 }
 

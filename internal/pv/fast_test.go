@@ -147,51 +147,8 @@ func TestSolverDeterministicGivenCallSequence(t *testing.T) {
 	}
 }
 
-// TestVocMemoSharingBitIdentical checks that solvers attached to a shared
-// VocMemo return bit-identical Voc values to a private solver regardless
-// of which lane warms the memo first, and that attachment is refused
-// across value-unequal arrays.
-func TestVocMemoSharingBitIdentical(t *testing.T) {
-	arrA, arrB := SouthamptonArray(), SouthamptonArray()
-	memo := NewVocMemo(arrA)
-
-	sPriv := NewSolver(SouthamptonArray())
-	sA, sB := NewSolver(arrA), NewSolver(arrB)
-	if !sA.ShareVoc(memo) || !sB.ShareVoc(memo) {
-		t.Fatal("ShareVoc refused value-equal arrays")
-	}
-
-	for _, g := range gridG {
-		want, err := sPriv.OpenCircuitVoltage(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// sA computes (memo miss), sB hits the entry sA wrote.
-		gotA, err := sA.OpenCircuitVoltage(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotB, err := sB.OpenCircuitVoltage(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotA != want || gotB != want {
-			t.Errorf("Voc(%g): shared %g/%g vs private %g", g, gotA, gotB, want)
-		}
-	}
-
-	small := SmallArray()
-	if NewSolver(small).ShareVoc(memo) {
-		t.Error("ShareVoc accepted a value-unequal array")
-	}
-	if NewSolver(small).ShareVoc(nil) {
-		t.Error("ShareVoc accepted nil memo")
-	}
-}
-
 // TestSolverMemoMapsLazy checks a Solver allocates its memo maps only on
-// first insert, and that ShareVoc still attaches the shared map so
-// entries written through one solver land in the VocMemo.
+// first insert.
 func TestSolverMemoMapsLazy(t *testing.T) {
 	s := NewSolver(SouthamptonArray())
 	if _, err := s.CurrentAt(5, 800); err != nil {
@@ -205,17 +162,5 @@ func TestSolverMemoMapsLazy(t *testing.T) {
 	}
 	if len(s.voc) != 1 || len(s.mpp) != 1 {
 		t.Fatalf("after one MPP solve: %d Voc and %d MPP entries, want 1 each", len(s.voc), len(s.mpp))
-	}
-
-	memo := NewVocMemo(SouthamptonArray())
-	shared := NewSolver(SouthamptonArray())
-	if !shared.ShareVoc(memo) {
-		t.Fatal("ShareVoc refused value-equal arrays")
-	}
-	if _, err := shared.OpenCircuitVoltage(800); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := memo.voc[800]; !ok || v != s.voc[800] {
-		t.Fatalf("shared memo entry %g (present %v), private %g", v, ok, s.voc[800])
 	}
 }

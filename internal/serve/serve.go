@@ -35,11 +35,6 @@ type Config struct {
 	// SimWorkers bounds per-job run concurrency (0 keeps the study
 	// default, GOMAXPROCS).
 	SimWorkers int
-	// Engine and BatchWidth select the execution engine. Execution
-	// detail only: both are excluded from cache keys because engines
-	// are bit-identical by contract.
-	Engine     string
-	BatchWidth int
 	// CacheBytes bounds the content-addressed result cache (<=0 selects
 	// 64 MiB).
 	CacheBytes int64
@@ -57,9 +52,12 @@ type Config struct {
 	// workers busy deterministically.
 	startHook func(j *Job)
 	// cache, when non-nil, replaces the server's own store — the seam
-	// cache tests use to point a second server (with a deliberately
-	// broken engine) at a populated store.
+	// cache tests use to point a second server at a populated store.
 	cache *Cache
+	// runChunk, when non-nil, replaces Study.RunChunk for every cell the
+	// cache cannot answer — the seam cache tests use to fail any
+	// simulation a cache hit must not reach.
+	runChunk func(st study.Study, r study.TaskRange) (*study.Checkpoint, error)
 }
 
 // Job states, as reported on the wire.
@@ -328,8 +326,6 @@ func (s *Server) buildStudy(recipe studycli.Config, tenant string) (study.Study,
 	}
 	st.Seed = TenantSeed(st.Seed, tenant)
 	st.Workers = s.cfg.SimWorkers
-	st.Engine = s.cfg.Engine
-	st.BatchWidth = s.cfg.BatchWidth
 	return st, nil
 }
 
@@ -483,11 +479,10 @@ func (s *Server) restoreCell(st study.Study, c int, digest string) ([]study.Task
 	return recs, true
 }
 
-// simulateCell runs one cell's repetitions through the engine, counting
-// every completed run on the job. The count hangs off OnProgress — the
-// engine-boundary completion callback — so it measures work the engine
-// actually did, which is what the zero-work-on-repeat guarantee is
-// stated against.
+// simulateCell runs one cell's repetitions, counting every completed run
+// on the job. The count hangs off OnProgress — the study's per-run
+// completion callback — so it measures simulation work actually done,
+// which is what the zero-work-on-repeat guarantee is stated against.
 func (s *Server) simulateCell(j *Job, r study.TaskRange) (*study.Checkpoint, error) {
 	run := j.st
 	var mu sync.Mutex
@@ -498,6 +493,9 @@ func (s *Server) simulateCell(j *Job, r study.TaskRange) (*study.Checkpoint, err
 		prev = completed
 		mu.Unlock()
 		j.addSimulated(delta)
+	}
+	if s.cfg.runChunk != nil {
+		return s.cfg.runChunk(run, r)
 	}
 	return run.RunChunk(context.Background(), r)
 }
@@ -599,7 +597,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if artifacts, ok := s.lookupArtifacts(digest); ok {
 		// Whole-study hit: the stored bytes are bit-identical to what a
 		// cold run would render, so the job is born done — no queue slot,
-		// no folder, no engine.
+		// no folder, no simulation.
 		j.state = JobDone
 		j.cacheHit = true
 		j.foldedTasks = j.totalTasks

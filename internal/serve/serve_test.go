@@ -5,14 +5,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"pnps/internal/study"
 	"pnps/internal/studycli"
 )
 
@@ -139,8 +142,9 @@ func directArtifacts(t testing.TB, recipe studycli.Config) map[string][]byte {
 // study submission is answered from the content-addressed store with
 // bytes bit-identical to the cold run (which are themselves identical
 // to a direct local run), with zero simulation work — proved both by
-// the engine-boundary run counter and by breaking the engine between
-// the two submissions, so any simulation attempt would fail the job.
+// the per-run completion counter and by a second server whose chunk
+// execution fails, so any simulation attempt would be counted and fail
+// the job.
 func TestServeCacheHitByteIdentical(t *testing.T) {
 	e := newEnv(t, Config{})
 	recipe := testRecipe(41)
@@ -166,24 +170,31 @@ func TestServeCacheHitByteIdentical(t *testing.T) {
 		}
 	}
 
-	// The spy: a second server sharing the populated store, wired to an
-	// engine that cannot exist. Any job that reaches RunChunk fails with
-	// an unknown-engine error, so a done job proves the engine was never
-	// consulted.
-	broken := newEnv(t, Config{Engine: "no-such-engine", cache: e.s.cache})
+	// The spy: a second server sharing the populated store, whose chunk
+	// execution counts the call and fails the job. A done job with a
+	// zero count proves RunChunk was never reached.
+	var chunkCalls atomic.Int64
+	spy := newEnv(t, Config{cache: e.s.cache,
+		runChunk: func(study.Study, study.TaskRange) (*study.Checkpoint, error) {
+			chunkCalls.Add(1)
+			return nil, errors.New("spy: a cache hit reached RunChunk")
+		}})
 
-	hit := broken.submit(t, "", recipe, http.StatusOK)
+	hit := spy.submit(t, "", recipe, http.StatusOK)
 	if !hit.CacheHit || hit.State != JobDone {
 		t.Fatalf("repeat submission: state %s, cacheHit %v (%s)", hit.State, hit.CacheHit, hit.Error)
 	}
 	if hit.SimulatedRuns != 0 {
 		t.Fatalf("repeat submission simulated %d runs, want 0", hit.SimulatedRuns)
 	}
+	if n := chunkCalls.Load(); n != 0 {
+		t.Fatalf("repeat submission reached RunChunk %d times, want 0", n)
+	}
 	if hit.Digest != cold.Digest {
 		t.Fatalf("digest changed across identical submissions: %s vs %s", hit.Digest, cold.Digest)
 	}
 	for _, f := range artifactFormats {
-		if got := broken.outcome(t, "", hit.ID, f); !bytes.Equal(got, coldBytes[f]) {
+		if got := spy.outcome(t, "", hit.ID, f); !bytes.Equal(got, coldBytes[f]) {
 			t.Fatalf("%s: cache-hit bytes differ from the cold run", f)
 		}
 	}

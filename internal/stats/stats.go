@@ -3,26 +3,11 @@
 // (used for the paper's Fig. 13 "time spent at each operating voltage"
 // analysis) and linear regression for model calibration checks.
 //
-// # Choosing a quantile estimator
-//
-// Three quantile paths coexist, in order of preference:
-//
-//   - Quantile / Summarize: exact order statistics when the sample fits
-//     in memory — what campaign and study summaries use for per-run
-//     scalar metrics.
-//   - Histogram.Quantile: bin-bounded error on streams of any length
-//     and ordering, and the only estimator that supports time-weighted
-//     observations. Prefer it whenever a histogram is available — in
-//     particular over P2 for time-ordered signals.
-//   - P2: O(1)-memory single-quantile sketch for unbounded streams with
-//     no histogram. Caveat: monotone (sorted or steadily drifting)
-//     streams are adversarial for P² — the markers can only chase the
-//     moving distribution and the estimate can be off by a tenth of the
-//     data span. Simulation signals are time-ordered and often drift,
-//     so summaries derived from them should use Histogram.Quantile when
-//     a histogram is available (study and campaign dwell-time summaries
-//     do exactly this); reach for P2 only when memory rules a histogram
-//     out and the stream is not monotone.
+// Quantiles come from two places: Quantile / Summarize give exact order
+// statistics when the sample fits in memory (campaign and study
+// summaries of per-run scalar metrics), and Histogram.Quantile gives
+// bin-bounded error on streams of any length and ordering, including
+// time-weighted observations (dwell-time summaries).
 package stats
 
 import (

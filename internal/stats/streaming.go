@@ -100,133 +100,6 @@ func (o *Online) Variance() float64 {
 // StdDev returns the population standard deviation (NaN when empty).
 func (o *Online) StdDev() float64 { return math.Sqrt(o.Variance()) }
 
-// P2 estimates a single quantile of an unbounded stream in O(1) memory
-// with the P² algorithm (Jain & Chlamtac 1985): five markers track the
-// minimum, the target quantile, the midpoints and the maximum, adjusted
-// towards their ideal positions with piecewise-parabolic interpolation.
-// Accuracy is exact up to five observations and typically within a
-// fraction of a percent of the exact quantile for randomly ordered
-// streams; monotone (sorted) streams are adversarial — the markers can
-// only chase the drifting distribution — and degrade to roughly a tenth
-// of the data span (see the cross-validation tests against Quantile).
-// Consumers that need bin-bounded error on arbitrary orderings, or
-// time-weighted observations, should use Histogram.Quantile.
-type P2 struct {
-	q       float64
-	n       int
-	heights [5]float64 // marker heights
-	pos     [5]float64 // actual marker positions (1-based)
-	want    [5]float64 // desired marker positions
-	dwant   [5]float64 // desired-position increments per observation
-}
-
-// NewP2 returns a streaming estimator of the q-quantile, 0 < q < 1.
-func NewP2(q float64) *P2 {
-	if !(q > 0 && q < 1) {
-		panic("stats: P2 quantile must be in (0, 1)")
-	}
-	p := &P2{q: q}
-	p.dwant = [5]float64{0, q / 2, q, (1 + q) / 2, 1}
-	return p
-}
-
-// Q returns the quantile this estimator tracks.
-func (p *P2) Q() float64 { return p.q }
-
-// N returns the number of observations absorbed.
-func (p *P2) N() int { return p.n }
-
-// Add folds one observation into the estimator.
-func (p *P2) Add(x float64) {
-	if p.n < 5 {
-		// Insertion-sort the first five observations into the markers.
-		i := p.n
-		for i > 0 && p.heights[i-1] > x {
-			p.heights[i] = p.heights[i-1]
-			i--
-		}
-		p.heights[i] = x
-		p.n++
-		if p.n == 5 {
-			for j := range p.pos {
-				p.pos[j] = float64(j + 1)
-				p.want[j] = 1 + 4*p.dwant[j]
-			}
-		}
-		return
-	}
-
-	// Find the cell k containing x and update the extreme markers.
-	var k int
-	switch {
-	case x < p.heights[0]:
-		p.heights[0] = x
-		k = 0
-	case x >= p.heights[4]:
-		p.heights[4] = x
-		k = 3
-	default:
-		for k = 0; k < 3; k++ {
-			if x < p.heights[k+1] {
-				break
-			}
-		}
-	}
-	p.n++
-	for j := k + 1; j < 5; j++ {
-		p.pos[j]++
-	}
-	for j := range p.want {
-		p.want[j] += p.dwant[j]
-	}
-
-	// Adjust the three interior markers towards their desired positions.
-	for j := 1; j <= 3; j++ {
-		d := p.want[j] - p.pos[j]
-		if (d >= 1 && p.pos[j+1]-p.pos[j] > 1) || (d <= -1 && p.pos[j-1]-p.pos[j] < -1) {
-			s := 1.0
-			if d < 0 {
-				s = -1
-			}
-			h := p.parabolic(j, s)
-			if p.heights[j-1] < h && h < p.heights[j+1] {
-				p.heights[j] = h
-			} else {
-				p.heights[j] = p.linear(j, s)
-			}
-			p.pos[j] += s
-		}
-	}
-}
-
-// parabolic is the P² piecewise-parabolic height prediction for moving
-// marker j by s (±1).
-func (p *P2) parabolic(j int, s float64) float64 {
-	nj, njm, njp := p.pos[j], p.pos[j-1], p.pos[j+1]
-	hj, hjm, hjp := p.heights[j], p.heights[j-1], p.heights[j+1]
-	return hj + s/(njp-njm)*((nj-njm+s)*(hjp-hj)/(njp-nj)+(njp-nj-s)*(hj-hjm)/(nj-njm))
-}
-
-// linear is the fallback height prediction along the neighbouring marker.
-func (p *P2) linear(j int, s float64) float64 {
-	k := j + int(s)
-	return p.heights[j] + s*(p.heights[k]-p.heights[j])/(p.pos[k]-p.pos[j])
-}
-
-// Quantile returns the current estimate: NaN when empty, the exact
-// sample quantile while fewer than five observations have been seen, and
-// the P² marker height thereafter.
-func (p *P2) Quantile() float64 {
-	if p.n == 0 {
-		return math.NaN()
-	}
-	if p.n < 5 {
-		// heights[:n] is sorted; interpolate the exact quantile.
-		return Quantile(p.heights[:p.n], p.q)
-	}
-	return p.heights[2]
-}
-
 // Quantile estimates the q-quantile of the weighted observations in the
 // histogram by linear interpolation within the containing bin, treating
 // the weight of each bin as uniformly spread across it. Underflow mass

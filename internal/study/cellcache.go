@@ -21,8 +21,8 @@ import (
 // records, so a content-addressed store keyed by CellIdentity.Digest
 // can answer them without simulating (see internal/serve).
 //
-// The identity deliberately excludes execution detail (Workers, Engine,
-// BatchWidth — bit-identical by the engine contract) and KeepSeries:
+// The identity deliberately excludes execution detail (Workers — outcomes
+// are bit-identical at any worker count) and KeepSeries:
 // like checkpoints, cached cell records carry metrics and histograms
 // only, which is everything aggregation consumes.
 
@@ -68,7 +68,7 @@ func (ci CellIdentity) Digest() (string, error) {
 // Digest returns the canonical content address of the whole-study
 // identity — the hex SHA-256 of the fingerprint's canonical JSON. Every
 // input that can change the outcome is part of the fingerprint, and
-// nothing that cannot (worker counts, engine, batch width), so equal
+// nothing that cannot (worker counts), so equal
 // digests guarantee bit-identical outcomes.
 func (f Fingerprint) Digest() (string, error) {
 	raw, err := json.Marshal(f)
