@@ -14,6 +14,12 @@
 package testutil
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"hash"
+	"math"
+	"reflect"
 	"testing"
 
 	"pnps/internal/core"
@@ -111,4 +117,56 @@ func RequireEqualResults(t testing.TB, label string, got, want *sim.Result) {
 	RequireEqualSeries(t, label+" LittleCores", got.LittleCores, want.LittleCores)
 	RequireEqualSeries(t, label+" BigCores", got.BigCores, want.BigCores)
 	RequireEqualSeries(t, label+" TotalCores", got.TotalCores, want.TotalCores)
+}
+
+// ResultDigest returns the hex SHA-256 of a result's bit pattern: every
+// resultScalars field (unexported envelope state included) and every
+// sample of every series, each as 8 little-endian bytes — floats by
+// their Float64bits. Equal digests mean bit-identical results, so a
+// short table of digests can pin outcomes across commits.
+func ResultDigest(r *sim.Result) string {
+	h := sha256.New()
+	digestValue(h, reflect.ValueOf(scalarsOf(r)))
+	for _, s := range []*trace.Series{r.VC, r.PowerConsumed, r.PowerAvailable,
+		r.FreqGHz, r.LittleCores, r.BigCores, r.TotalCores} {
+		if s == nil {
+			digestWord(h, math.MaxUint64)
+			continue
+		}
+		digestWord(h, uint64(s.Len()))
+		for i := 0; i < s.Len(); i++ {
+			t, v := s.At(i)
+			digestWord(h, math.Float64bits(t))
+			digestWord(h, math.Float64bits(v))
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// digestValue feeds v's fields, depth first in declaration order, into h.
+func digestValue(h hash.Hash, v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			digestValue(h, v.Field(i))
+		}
+	case reflect.Float64:
+		digestWord(h, math.Float64bits(v.Float()))
+	case reflect.Int:
+		digestWord(h, uint64(v.Int()))
+	case reflect.Bool:
+		var b uint64
+		if v.Bool() {
+			b = 1
+		}
+		digestWord(h, b)
+	default:
+		panic("testutil: ResultDigest cannot digest a " + v.Kind().String())
+	}
+}
+
+func digestWord(h hash.Hash, w uint64) {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], w)
+	h.Write(b[:])
 }
