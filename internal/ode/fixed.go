@@ -2,28 +2,12 @@ package ode
 
 import "fmt"
 
-// Euler integrates with the explicit Euler method at a fixed step h. It is
-// provided as the cheapest integrator for coarse sweeps and as a
-// convergence-order reference in tests. Events are detected by sign change
-// and localised by linear interpolation within the step.
-func Euler(f RHS, t0, t1 float64, y []float64, h float64, opts Options) (Result, error) {
-	return fixedStep(f, t0, t1, y, h, opts, stepEuler)
-}
-
 // RK4 integrates with the classic fourth-order Runge–Kutta method at a
-// fixed step h.
+// fixed step h. It serves as a convergence reference in tests. Events are
+// detected by sign change and localised by linear interpolation within
+// the step.
 func RK4(f RHS, t0, t1 float64, y []float64, h float64, opts Options) (Result, error) {
-	return fixedStep(f, t0, t1, y, h, opts, stepRK4)
-}
-
-type stepper func(f RHS, t, h float64, y, ynext []float64, scratch [][]float64)
-
-func stepEuler(f RHS, t, h float64, y, ynext []float64, scratch [][]float64) {
-	k1 := scratch[0]
-	f(t, y, k1)
-	for i := range y {
-		ynext[i] = y[i] + h*k1[i]
-	}
+	return fixedStep(f, t0, t1, y, h, opts)
 }
 
 func stepRK4(f RHS, t, h float64, y, ynext []float64, scratch [][]float64) {
@@ -40,7 +24,7 @@ func stepRK4(f RHS, t, h float64, y, ynext []float64, scratch [][]float64) {
 	}
 }
 
-func fixedStep(f RHS, t0, t1 float64, y []float64, h float64, opts Options, step stepper) (Result, error) {
+func fixedStep(f RHS, t0, t1 float64, y []float64, h float64, opts Options) (Result, error) {
 	if err := validateSpan(t0, t1, y); err != nil {
 		return Result{}, err
 	}
@@ -71,7 +55,7 @@ func fixedStep(f RHS, t0, t1 float64, y []float64, h float64, opts Options, step
 		if t+hs > t1 {
 			hs = t1 - t
 		}
-		step(f, t, hs, y, ynext, scratch)
+		stepRK4(f, t, hs, y, ynext, scratch)
 		tNext := t + hs
 
 		// Linear event localisation within the step.

@@ -16,6 +16,7 @@ package scenario
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"pnps/internal/core"
 	"pnps/internal/governor"
@@ -141,8 +142,8 @@ func (s Spec) validate() error {
 	if (s.Profile == nil) == (s.Source == nil) {
 		return errors.New("scenario: set exactly one of Profile and Source")
 	}
-	if s.Duration <= 0 {
-		return fmt.Errorf("scenario %q: duration must be positive, got %g", s.Name, s.Duration)
+	if !(s.Duration > 0) || math.IsInf(s.Duration, 0) {
+		return fmt.Errorf("scenario %q: duration must be positive and finite, got %g", s.Name, s.Duration)
 	}
 	if s.Source != nil && s.InitialVC <= 0 {
 		return fmt.Errorf("scenario %q: bench runs must set InitialVC", s.Name)

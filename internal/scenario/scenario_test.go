@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -137,6 +138,9 @@ func TestSpecValidation(t *testing.T) {
 			Duration: 1,
 		}, "exactly one"},
 		{"no duration", Spec{Profile: FixedProfile(pv.Constant(1))}, "duration"},
+		{"NaN duration", Spec{Profile: FixedProfile(pv.Constant(1)), Duration: math.NaN()}, "duration"},
+		{"+Inf duration", Spec{Profile: FixedProfile(pv.Constant(1)), Duration: math.Inf(1)}, "duration"},
+		{"-Inf duration", Spec{Profile: FixedProfile(pv.Constant(1)), Duration: math.Inf(-1)}, "duration"},
 		{"bench no initial", Spec{
 			Source:   func(int64, float64) (sim.Source, error) { return nil, nil },
 			Duration: 1,

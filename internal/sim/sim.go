@@ -191,29 +191,6 @@ func (r *Result) StabilityBands() []float64 {
 	return bands
 }
 
-// segKind distinguishes the two integration segment shapes the discrete-
-// event loop issues: monitored main segments (threshold/brownout events,
-// per-step observer dispatch) and unmonitored interrupt-delay segments.
-type segKind int
-
-const (
-	segMain segKind = iota
-	segDelay
-)
-
-// runState is the resumption point of the segment state machine between
-// integrations.
-type runState int
-
-const (
-	// stSegment: advance due discrete actions and arm the next main
-	// segment (or finish the run).
-	stSegment runState = iota
-	// stTail: run the post-event tail — the unmonitored-interval brownout
-	// level check and the latched-crossing replay loop.
-	stTail
-)
-
 // engine is the per-run mutable state.
 type engine struct {
 	cfg      Config
@@ -231,6 +208,7 @@ type engine struct {
 	alive     bool
 	aliveFor  float64
 	deadSince float64
+	rebootAt  float64 // pending restart after a supply recovery; -1 if none
 	// instrBase and framesBase carry work completed before a brownout
 	// restart (platform.Reset zeroes the platform's own counters).
 	instrBase  float64
@@ -251,6 +229,11 @@ type engine struct {
 	rhsFn                              ode.RHS
 	onStepFn                           func(t float64, y []float64)
 	evBrownout, evVlow, evVhigh, evRec ode.Event
+	// segPower is the board power draw over the current integration, read
+	// once by integrate: platform state only changes between integrations,
+	// so it is constant for the whole segment and the RHS need not
+	// recompute it.
+	segPower float64
 
 	// Observer pipeline state (see observer.go): the engine-owned
 	// reusable sample, the dispatch list (series observer first, then
@@ -264,22 +247,6 @@ type engine struct {
 	supplyOnly   bool // every observer reads only T/VC/Alive
 	availStarted bool
 	lastAvailT   float64
-
-	// Segment state machine (see step/settle): the discrete-event loop is
-	// factored so the engine alternates between "arm an integration
-	// request" and "settle its result", which run drives to completion.
-	state          runState
-	tEnd           float64
-	nextTick       float64 // governor tick time (governor mode only)
-	rebootAt       float64
-	pendArmed      bool
-	pendKind       segKind
-	pendT0, pendT1 float64
-	pendWhich      core.Crossing // crossing being serviced across a delay segment
-	// pendPower is the board power draw over the armed segment, read once
-	// by arm: platform state only changes in settle, so it is constant
-	// for the whole integration and the RHS need not recompute it.
-	pendPower float64
 
 	res Result
 }
@@ -404,7 +371,6 @@ func newEngine(cfg Config) (*engine, error) {
 		Terminal:  true,
 	}
 
-	e.tEnd = e.cfg.Duration
 	e.rebootAt = -1
 	return e, nil
 }
@@ -441,8 +407,8 @@ func validate(cfg *Config) error {
 		return errors.New("sim: Config.Platform is required")
 	}
 	if cfg.Storage == nil {
-		if cfg.Capacitance <= 0 {
-			return fmt.Errorf("sim: capacitance must be positive, got %g", cfg.Capacitance)
+		if !(cfg.Capacitance > 0) || math.IsInf(cfg.Capacitance, 0) {
+			return fmt.Errorf("sim: capacitance must be positive and finite, got %g", cfg.Capacitance)
 		}
 		cfg.Storage = IdealCap{Farads: cfg.Capacitance}
 	} else {
@@ -456,11 +422,12 @@ func validate(cfg *Config) error {
 			return fmt.Errorf("sim: storage dimension %d outside 1..%d", d, MaxStorageStates)
 		}
 	}
-	if cfg.Duration <= 0 {
-		return fmt.Errorf("sim: duration must be positive, got %g", cfg.Duration)
+	// !(x > 0) also rejects NaN, which x <= 0 would let through.
+	if !(cfg.Duration > 0) || math.IsInf(cfg.Duration, 0) {
+		return fmt.Errorf("sim: duration must be positive and finite, got %g", cfg.Duration)
 	}
-	if cfg.InitialVC <= 0 {
-		return fmt.Errorf("sim: initial Vc must be positive, got %g", cfg.InitialVC)
+	if !(cfg.InitialVC > 0) || math.IsInf(cfg.InitialVC, 0) {
+		return fmt.Errorf("sim: initial Vc must be positive and finite, got %g", cfg.InitialVC)
 	}
 	if cfg.Controller != nil && cfg.Governor != nil {
 		return errors.New("sim: set at most one of Controller and Governor")
@@ -545,7 +512,7 @@ func (e *engine) loadCurrent(v float64) float64 {
 	if !e.alive || v <= 0 {
 		return 0
 	}
-	iload := soc.SupplyCurrent(e.pendPower, v)
+	iload := soc.SupplyCurrent(e.segPower, v)
 	if e.hw != nil {
 		iload += e.hw.PowerWatts() / v
 	}
@@ -621,78 +588,18 @@ func (e *engine) sampleAvailable(t float64) {
 	}
 }
 
-// run drives the segment state machine: alternate between step (arm the
-// next integration request) and settle (absorb its result) until the run
-// completes.
+// run is the discrete-event loop. Each pass performs the due governor
+// tick or reboot, integrates the supply up to the next forced stop (span
+// end, governor tick, OPP-transition completion, reboot) or the first
+// terminal event, carries clock and state across it, dispatches that
+// event, and runs the latched-crossing tail.
 func (e *engine) run() error {
-	for {
-		if !e.pendArmed {
-			more, err := e.step()
-			if err != nil {
-				return err
-			}
-			if !more {
-				return nil
-			}
-		}
-		kind, t0 := e.pendKind, e.pendT0
-		res, err := e.integ.Integrate(e.rhsFn, e.pendT0, e.pendT1, e.stateBuf(), e.pendOptions())
-		if err != nil {
-			return e.wrapSegErr(kind, t0, err)
-		}
-		if err := e.settle(res); err != nil {
-			return err
-		}
-	}
-}
-
-// wrapSegErr wraps an integration failure with the segment's context,
-// preserving the historical messages of the main and delay paths.
-func (e *engine) wrapSegErr(kind segKind, t0 float64, err error) error {
-	if kind == segDelay {
-		return fmt.Errorf("sim: interrupt-delay integration failed: %w", err)
-	}
-	return fmt.Errorf("sim: integration failed at t=%g: %w", t0, err)
-}
-
-// step advances discrete-event work until an integration segment is
-// armed (returns true; integrate pendT0..pendT1 with pendOptions and the
-// state from stateBuf, then call settle) or the run completes (returns
-// false; finish may be called).
-func (e *engine) step() (bool, error) {
-	for {
-		switch e.state {
-		case stTail:
-			if err := e.runTail(); err != nil {
-				return false, err
-			}
-			if e.pendArmed {
-				return true, nil // a replayed service needs its delay segment
-			}
-			e.state = stSegment
-		case stSegment:
-			if !e.nextSegment() {
-				// Final bookkeeping sample.
-				e.record(e.now, e.vc)
-				return false, nil
-			}
-			return true, nil
-		}
-	}
-}
-
-// nextSegment performs the due discrete actions (governor tick, reboot)
-// and arms the next main integration segment. It returns false when the
-// simulated span is covered.
-func (e *engine) nextSegment() bool {
-	for {
-		if !(e.now < e.tEnd) {
-			return false
-		}
+	nextTick := 0.0 // governor tick time (governor mode only)
+	for e.now < e.cfg.Duration {
 		// Governor tick due exactly now.
-		if e.gov != nil && e.alive && e.now >= e.nextTick {
+		if e.gov != nil && e.alive && e.now >= nextTick {
 			e.governorTick()
-			e.nextTick = e.now + e.gov.SamplingPeriod()
+			nextTick = e.now + e.gov.SamplingPeriod()
 		}
 		// Reboot due now — but only if the supply is still healthy; the
 		// harvest may have collapsed again during the cooldown, in which
@@ -702,16 +609,16 @@ func (e *engine) nextSegment() bool {
 			if e.vc >= e.cfg.RestartVolts {
 				e.reboot()
 				if e.gov != nil {
-					e.nextTick = e.now
+					nextTick = e.now
 					continue
 				}
 			}
 		}
 
 		// Choose the next forced stop.
-		segEnd := e.tEnd
-		if e.gov != nil && e.alive && e.nextTick < segEnd {
-			segEnd = e.nextTick
+		segEnd := e.cfg.Duration
+		if e.gov != nil && e.alive && nextTick < segEnd {
+			segEnd = nextTick
 		}
 		if c, ok := e.platform.NextCompletion(); ok && e.alive && c < segEnd {
 			segEnd = c
@@ -722,131 +629,109 @@ func (e *engine) nextSegment() bool {
 		if segEnd <= e.now {
 			segEnd = math.Nextafter(e.now, math.Inf(1))
 		}
-		e.arm(segMain, segEnd)
-		return true
+
+		res, err := e.integrate(segEnd, true)
+		if err != nil {
+			return err
+		}
+		if err := e.advance(res); err != nil {
+			return err
+		}
+		if res.Stopped {
+			// A terminal event fired: it is the last hit.
+			if err := e.dispatch(res.Hits[len(res.Hits)-1]); err != nil {
+				return err
+			}
+		}
+		if err := e.tail(); err != nil {
+			return err
+		}
 	}
+	// Final bookkeeping sample.
+	e.record(e.now, e.vc)
+	return nil
 }
 
-// arm requests integration of a kind segment from now to t1, reading the
-// board power draw the segment's RHS evaluations use.
-func (e *engine) arm(kind segKind, t1 float64) {
-	e.pendArmed, e.pendKind = true, kind
-	e.pendT0, e.pendT1 = e.now, t1
-	e.pendPower = e.platform.PowerDraw()
-}
-
-// pendOptions builds the ODE options for the armed segment. Main
-// segments are monitored (threshold/brownout events, per-step observer
-// dispatch); interrupt-delay segments integrate blind — the hardware has
-// latched the edge. Both resume at the step size established by the
+// integrate advances the supply state from now towards t1 at the board's
+// current power draw, resuming at the step size established by the
 // previous segment (zero on the first selects the default heuristic):
 // interrupt-driven runs integrate thousands of short segments, and
 // regrowing from the span/100 default each time costs several extra RHS
-// evaluations per segment.
-func (e *engine) pendOptions() ode.Options {
+// evaluations per segment. Monitored segments carry the threshold,
+// brownout and recovery events and feed every accepted step to the
+// observers; unmonitored ones (an interrupt delay) integrate blind — the
+// hardware has latched the edge.
+func (e *engine) integrate(t1 float64, monitored bool) (ode.Result, error) {
+	e.segPower = e.platform.PowerDraw()
 	o := ode.Options{
 		InitialStep: e.lastH,
 		MaxStep:     e.cfg.MaxStep,
 		RTol:        1e-6,
 		ATol:        1e-7,
 	}
-	if e.pendKind == segMain {
+	if monitored {
 		o.Events = e.buildEvents()
 		o.OnStep = e.onStepFn
 	}
-	return o
-}
-
-// settle absorbs the result of the armed segment's integration and
-// advances the state machine.
-func (e *engine) settle(res ode.Result) error {
-	kind := e.pendKind
-	e.pendArmed = false
-	switch kind {
-	case segMain:
-		if err := e.settleMain(res); err != nil {
-			return err
-		}
-		// settleMain may have armed an interrupt-delay segment (a service
-		// with a propagation delay); the tail runs once that settles.
-		if !e.pendArmed {
-			e.state = stTail
-		}
-	case segDelay:
-		if err := e.settleDelay(res); err != nil {
-			return err
-		}
-		e.state = stTail
+	// The sensed voltage is state 0; storage-internal states (indices ≥ 1)
+	// carry over untouched in the persistent buffer.
+	e.y[0] = e.vc
+	res, err := e.integ.Integrate(e.rhsFn, e.now, t1, e.y, o)
+	if err == nil {
+		return res, nil
 	}
-	return nil
+	if !monitored {
+		return res, fmt.Errorf("sim: interrupt-delay integration failed: %w", err)
+	}
+	return res, fmt.Errorf("sim: integration failed at t=%g: %w", e.now, err)
 }
 
-// settleMain finishes a monitored main segment: clock/state carry,
-// platform advance and terminal-event dispatch.
-func (e *engine) settleMain(res ode.Result) error {
+// advance carries the clock, the alive-time account and the supply
+// voltage to the end of an integrated segment and advances the platform
+// through it.
+func (e *engine) advance(res ode.Result) error {
 	e.lastH = res.LastStep
-	// Account alive time across the integrated span.
 	if e.alive {
 		e.aliveFor += res.T - e.now
 	}
 	e.now = res.T
 	e.vc = e.y[0]
-	if e.alive {
-		if err := e.platform.Advance(e.now); err != nil {
-			return err
-		}
+	if !e.alive {
+		return nil
 	}
-	if res.Stopped {
-		// A terminal event fired: find it (the last hit).
-		hit := res.Hits[len(res.Hits)-1]
-		switch hit.Name {
-		case "brownout":
-			e.brownout()
-		case "recover":
-			e.rebootAt = e.now + e.cfg.RebootSeconds
-			if earliest := e.deadSince + e.cfg.RestartCooldown; e.rebootAt < earliest {
-				e.rebootAt = earliest
-			}
-		case "vlow":
-			return e.beginService(core.CrossLow)
-		case "vhigh":
-			return e.beginService(core.CrossHigh)
-		default:
-			return fmt.Errorf("sim: unknown terminal event %q", hit.Name)
+	return e.platform.Advance(e.now)
+}
+
+// dispatch acts on the terminal event that ended a segment.
+func (e *engine) dispatch(hit ode.EventHit) error {
+	switch hit.Name {
+	case "brownout":
+		e.brownout()
+	case "recover":
+		e.rebootAt = e.now + e.cfg.RebootSeconds
+		if earliest := e.deadSince + e.cfg.RestartCooldown; e.rebootAt < earliest {
+			e.rebootAt = earliest
 		}
+	case "vlow":
+		return e.service(core.CrossLow)
+	case "vhigh":
+		return e.service(core.CrossHigh)
+	default:
+		return fmt.Errorf("sim: unknown terminal event %q", hit.Name)
 	}
 	return nil
 }
 
-// settleDelay finishes an interrupt-delay segment and completes the
-// service it was integrating towards.
-func (e *engine) settleDelay(res ode.Result) error {
-	e.lastH = res.LastStep
-	e.aliveFor += res.T - e.now
-	e.now = res.T
-	e.vc = e.y[0]
-	if err := e.platform.Advance(e.now); err != nil {
-		return err
-	}
-	return e.completeService(e.pendWhich)
-}
-
-// runTail runs the post-segment tail. A replayed service with an
-// interrupt delay arms a delay segment and suspends the tail; resuming
-// the whole tail after that service completes is equivalent to the
-// historical nested flow because the tail's opening level check is
-// exactly the replay loop's first clause.
-func (e *engine) runTail() error {
-	// Brownouts that slip through unmonitored intervals (e.g. the
-	// interrupt-delay integration) are caught by a level check.
+// tail runs after every segment. Brownouts that slip through unmonitored
+// intervals (e.g. the interrupt-delay integration) are caught by a level
+// check. Then crossings latched while the platform was busy are
+// replayed: once the actuation completes, the comparator outputs are
+// level-checked and any asserted threshold is serviced immediately. Each
+// service slides the thresholds by Vq, so the loop terminates.
+func (e *engine) tail() error {
 	if e.alive && e.vc < soc.MinOperatingVolts-1e-6 {
 		e.brownout()
 	}
-
-	// Replay crossings latched while the platform was busy: once the
-	// actuation completes, the comparator outputs are level-checked
-	// and any asserted threshold is serviced immediately. Each service
-	// slides the thresholds by Vq, so this loop terminates.
 	for e.ctrl != nil && e.alive {
 		if e.vc < soc.MinOperatingVolts-1e-6 {
 			e.brownout()
@@ -855,29 +740,19 @@ func (e *engine) runTail() error {
 		if _, busy := e.platform.NextCompletion(); busy {
 			break
 		}
+		var err error
 		if e.vc <= e.hw.Low.Threshold() {
-			if err := e.beginService(core.CrossLow); err != nil {
-				return err
-			}
+			err = e.service(core.CrossLow)
 		} else if e.vc >= e.hw.High.Threshold() {
-			if err := e.beginService(core.CrossHigh); err != nil {
-				return err
-			}
+			err = e.service(core.CrossHigh)
 		} else {
 			break
 		}
-		if e.pendArmed {
-			return nil // suspend: the service's delay segment must integrate first
+		if err != nil {
+			return err
 		}
 	}
 	return nil
-}
-
-// stateBuf syncs the sensed voltage into the persistent storage state
-// buffer; storage-internal states (indices ≥ 1) carry over untouched.
-func (e *engine) stateBuf() []float64 {
-	e.y[0] = e.vc
-	return e.y
 }
 
 // buildEvents assembles the ODE event set for the current discrete state
@@ -889,7 +764,7 @@ func (e *engine) buildEvents() []ode.Event {
 		// Threshold interrupts are only armed while the platform is idle:
 		// the real ISR performs the cpufreq/hot-plug syscalls synchronously,
 		// so crossings during an actuation are latched, not serviced. The
-		// post-actuation level check in run() replays a latched crossing.
+		// post-actuation level check in tail replays a latched crossing.
 		_, busy := e.platform.NextCompletion()
 		if e.ctrl != nil && e.hw != nil && !busy {
 			evs = append(evs, e.evVlow, e.evVhigh)
@@ -918,28 +793,26 @@ func (e *engine) governorTick() {
 	e.res.GovernorTicks++
 }
 
-// beginService starts servicing a Vlow/Vhigh crossing. The analogue
-// crossing has happened; the ISR runs after the propagation + dispatch
-// delay, so when the channel has one the supply is first integrated
-// through it without threshold events (the hardware latches the edge) —
-// beginService arms that delay segment and the service completes in
-// settleDelay. With no delay the service completes immediately.
-func (e *engine) beginService(which core.Crossing) error {
+// service runs the ISR for a Vlow/Vhigh crossing. The analogue crossing
+// has happened; the ISR runs after the propagation + dispatch delay, so
+// when the channel has one the supply is first integrated through it
+// without threshold events (the hardware latches the edge). The ISR then
+// takes the controller decision, actuates the OPP change and reprograms
+// the thresholds.
+func (e *engine) service(which core.Crossing) error {
 	ch := e.hw.Low
 	if which == core.CrossHigh {
 		ch = e.hw.High
 	}
 	if delay := ch.InterruptDelay(); delay > 0 {
-		e.arm(segDelay, e.now+delay)
-		e.pendWhich = which
-		return nil
+		res, err := e.integrate(e.now+delay, false)
+		if err != nil {
+			return err
+		}
+		if err := e.advance(res); err != nil {
+			return err
+		}
 	}
-	return e.completeService(which)
-}
-
-// completeService runs the ISR for a threshold crossing: controller
-// decision, OPP actuation and threshold reprogramming.
-func (e *engine) completeService(which core.Crossing) error {
 	e.hw.RecordInterrupt()
 
 	d := e.ctrl.OnCrossing(which, e.now)

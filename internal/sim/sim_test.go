@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"pnps/internal/core"
@@ -45,6 +46,33 @@ func TestConfigValidation(t *testing.T) {
 		tc.mut(&cfg)
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("%s: expected error", tc.name)
+		}
+	}
+}
+
+// TestConfigRejectsNonFinite: NaN and ±Inf in a positive-only field fail
+// validation, naming the field, instead of running zero simulated time
+// (NaN duration) or failing deep inside the integrator (+Inf duration).
+func TestConfigRejectsNonFinite(t *testing.T) {
+	fields := []struct {
+		name string
+		set  func(*Config, float64)
+		want string
+	}{
+		{"Duration", func(c *Config, x float64) { c.Duration = x }, "duration"},
+		{"InitialVC", func(c *Config, x float64) { c.InitialVC = x }, "initial Vc"},
+		{"Capacitance", func(c *Config, x float64) { c.Capacitance = x }, "capacitance"},
+	}
+	for _, f := range fields {
+		for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := Config{
+				Array: pv.SouthamptonArray(), Profile: pv.Constant(1000), Capacitance: 47e-3,
+				InitialVC: 5.3, Platform: soc.NewDefaultPlatform(), Duration: 1,
+			}
+			f.set(&cfg, x)
+			if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), f.want) {
+				t.Errorf("%s=%g: error %v, want one naming %q", f.name, x, err, f.want)
+			}
 		}
 	}
 }

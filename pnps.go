@@ -231,10 +231,6 @@ func StudyIrradiance(label string, p IrradianceProfile) StudyLevel {
 // with the given parameters.
 func StudyParams(label string, p ControllerParams) StudyLevel { return study.Params(label, p) }
 
-// StudyControl builds an axis level selecting an arbitrary control
-// scheme.
-func StudyControl(label string, c ScenarioControl) StudyLevel { return study.Control(label, c) }
-
 // StudyGovernor builds an axis level running the named Linux cpufreq
 // baseline.
 func StudyGovernor(name string) StudyLevel { return study.Governor(name) }
@@ -264,15 +260,9 @@ func ReadStudyCheckpoint(r io.Reader) (*StudyCheckpoint, error) {
 	return study.ReadCheckpoint(r)
 }
 
-// RegisterScenario adds a named scenario to the shared registry.
-func RegisterScenario(s Scenario) error { return scenario.Register(s) }
-
 // LookupScenario returns a registered scenario by name; mutating the
 // returned copy never affects the registry.
 func LookupScenario(name string) (Scenario, bool) { return scenario.Lookup(name) }
-
-// ScenarioNames lists the registered scenario names in sorted order.
-func ScenarioNames() []string { return scenario.Names() }
 
 // Scenarios returns every registered scenario sorted by name.
 func Scenarios() []Scenario { return scenario.List() }
@@ -293,16 +283,6 @@ type UnknownScenarioError struct{ Name string }
 func (e *UnknownScenarioError) Error() string {
 	return "pnps: unknown scenario \"" + e.Name + "\""
 }
-
-// FixedIrradiance adapts an already-built profile for scenarios whose
-// irradiance does not vary with the seed.
-func FixedIrradiance(p IrradianceProfile) scenario.ProfileFunc {
-	return scenario.FixedProfile(p)
-}
-
-// ControlledBy returns a power-neutral scenario control with explicit
-// parameters; the Scenario zero value already selects the defaults.
-func ControlledBy(p ControllerParams) ScenarioControl { return scenario.Controlled(p) }
 
 // Uncontrolled returns a static (no runtime control) scenario control.
 func Uncontrolled() ScenarioControl { return scenario.Uncontrolled() }
