@@ -6,8 +6,10 @@
 package scenario
 
 import (
+	"fmt"
 	"testing"
 
+	"pnps/internal/pv"
 	"pnps/internal/testutil"
 )
 
@@ -50,8 +52,43 @@ var pinnedDigests = map[string]string{
 	"table2-harvest/hybridcap":  "013d7b9623e63c9b60e0bd7f6fc3619d69312e642b2c6969a6ea09c962091b71",
 }
 
-// TestScenarioPinnedOutcomes runs the scenario × storage matrix once and
-// compares each result's digest with the pinned table.
+// pinnedSpans pin what the 6 s matrix span cannot: over its first 6 s
+// solar-day and overcast-day are night (Day.Irradiance is 0) and no
+// stress-clouds event has begun, so those matrix rows equal other
+// scenarios' rows. Each span runs the scenario on its default storage,
+// its profile realised over the scenario's full duration and shifted
+// to start seconds in (pv.Offset), for span seconds at seed 1.
+var pinnedSpans = []struct {
+	name        string
+	start, span float64
+	digest      string
+}{
+	{"stress-clouds", 0, 120, "c9e1c3d048ad9ac315abb09659d33aa89e129d3eb7f1dfccdc9e6fb20b74984f"},
+	{"solar-day", 12 * 3600, 60, "51e05d97b87990d062fea4e144754976603775f706e18d127a218b519a589bc3"},
+	{"overcast-day", 12 * 3600, 60, "4ab4ed96248a4cab9552d1831b0cf9df489f3e959b1148a126b34329bdb810fc"},
+}
+
+// spanSpec returns the named scenario cut to [start, start+span) of its
+// profile.
+func spanSpec(name string, start, span float64) Spec {
+	spec := MustLookup(name)
+	full, profile := spec.Duration, spec.Profile
+	spec.Profile = func(seed int64, _ float64) pv.Profile {
+		p := profile(seed, full)
+		if start == 0 {
+			return p
+		}
+		return pv.Offset{Base: p, T0: start}
+	}
+	spec.Duration = span
+	return spec
+}
+
+// TestScenarioPinnedOutcomes runs the scenario × storage matrix and the
+// pinned spans once and compares each result's digest with its pinned
+// value. A span's digest must also differ from the same run under
+// constant irradiance at the profile's starting level, so that the row
+// pins the profile's variation and not just its first value.
 func TestScenarioPinnedOutcomes(t *testing.T) {
 	names := Names()
 	for si, name := range names {
@@ -65,6 +102,26 @@ func TestScenarioPinnedOutcomes(t *testing.T) {
 			if got := testutil.ResultDigest(res); got != pinnedDigests[key] {
 				t.Errorf("%s seed %d: digest %s, pinned %s", key, seed, got, pinnedDigests[key])
 			}
+		}
+	}
+	for _, ps := range pinnedSpans {
+		key := fmt.Sprintf("%s/%gs@%gs", ps.name, ps.span, ps.start)
+		spec := spanSpec(ps.name, ps.start, ps.span)
+		res, err := spec.Run(1)
+		if err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		got := testutil.ResultDigest(res)
+		if got != ps.digest {
+			t.Errorf("%s: digest %s, pinned %s", key, got, ps.digest)
+		}
+		spec.Profile = FixedProfile(pv.Constant(spec.Profile(1, ps.span).Irradiance(0)))
+		flat, err := spec.Run(1)
+		if err != nil {
+			t.Fatalf("%s at constant irradiance: %v", key, err)
+		}
+		if testutil.ResultDigest(flat) == got {
+			t.Errorf("%s: digest equals the constant-irradiance run's; the span pins no profile variation", key)
 		}
 	}
 	if len(names)*len(matrixStorages) != len(pinnedDigests) {
