@@ -315,7 +315,7 @@ func BenchmarkRK23CircuitSecond(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		y := []float64{5.3}
-		if _, err := ode.RK23(rhs, 0, 1, y, ode.Options{MaxStep: 0.25}); err != nil {
+		if _, err := new(ode.Integrator).Integrate(rhs, 0, 1, y, ode.Options{MaxStep: 0.25}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -324,8 +324,9 @@ func BenchmarkRK23CircuitSecond(b *testing.B) {
 // BenchmarkIntegratorSegment measures the per-segment cost of the
 // ODE layer the way the sim engine drives it: thousands of short
 // continuation segments. "reused" holds one Integrator (the engine's
-// configuration, zero steady-state allocations); "fresh" calls the RK23
-// wrapper, which allocates its stage buffers every segment.
+// configuration, zero steady-state allocations); "fresh" integrates
+// each segment on a new Integrator, which allocates its stage buffers
+// every segment.
 func BenchmarkIntegratorSegment(b *testing.B) {
 	arr := pv.SouthamptonArray()
 	sol := pv.NewSolver(arr)
@@ -335,7 +336,7 @@ func BenchmarkIntegratorSegment(b *testing.B) {
 	}
 	opts := ode.Options{MaxStep: 0.25, RTol: 1e-6, ATol: 1e-7, InitialStep: 0.05}
 	b.Run("reused", func(b *testing.B) {
-		integ := ode.NewIntegrator()
+		integ := new(ode.Integrator)
 		y := []float64{5.3}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -350,7 +351,7 @@ func BenchmarkIntegratorSegment(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			t0 := float64(i) * 0.05
-			if _, err := ode.RK23(rhs, t0, t0+0.05, y, opts); err != nil {
+			if _, err := new(ode.Integrator).Integrate(rhs, t0, t0+0.05, y, opts); err != nil {
 				b.Fatal(err)
 			}
 		}

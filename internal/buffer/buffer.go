@@ -46,11 +46,6 @@ func (s Supercap) Validate() error {
 // Energy returns the stored energy at voltage v, joules.
 func (s Supercap) Energy(v float64) float64 { return 0.5 * s.Farads * v * v }
 
-// UsableEnergy returns the energy released discharging from vFrom to vTo.
-func (s Supercap) UsableEnergy(vFrom, vTo float64) float64 {
-	return s.Energy(vFrom) - s.Energy(vTo)
-}
-
 // LeakagePower returns the instantaneous self-discharge power at voltage
 // v, watts.
 func (s Supercap) LeakagePower(v float64) float64 { return v * v / s.LeakOhms }

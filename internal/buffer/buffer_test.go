@@ -28,9 +28,6 @@ func TestSupercapEnergy(t *testing.T) {
 	if e := s.Energy(3); e != 9 { // ½·2·9
 		t.Errorf("Energy(3) = %g", e)
 	}
-	if u := s.UsableEnergy(5, 4); math.Abs(u-9) > 1e-12 { // ½·2·(25−16)
-		t.Errorf("UsableEnergy = %g", u)
-	}
 }
 
 func TestSupercapLeakage(t *testing.T) {

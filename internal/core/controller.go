@@ -186,12 +186,6 @@ func New(p Params, initialVC float64, initialOPP soc.OPP, t0 float64) (*Controll
 	return c, nil
 }
 
-// Params returns the controller's parameters.
-func (c *Controller) Params() Params { return c.params }
-
-// OPP returns the controller's current OPP belief.
-func (c *Controller) OPP() soc.OPP { return c.opp }
-
 // SetOPP overrides the controller's OPP belief — used when the platform
 // clamps or rejects a request, keeping controller and platform coherent.
 func (c *Controller) SetOPP(o soc.OPP) { c.opp = o.Clamp() }

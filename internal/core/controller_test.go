@@ -77,7 +77,7 @@ func TestThresholdsSlideDownOnLowCrossing(t *testing.T) {
 	vh0, vl0 := c.Thresholds()
 	d := c.OnCrossing(CrossLow, 10)
 	vh1, vl1 := c.Thresholds()
-	vq := c.Params().VQ
+	vq := c.params.VQ
 	if math.Abs(vh1-(vh0-vq)) > 1e-12 || math.Abs(vl1-(vl0-vq)) > 1e-12 {
 		t.Errorf("thresholds did not slide down by Vq")
 	}
@@ -94,7 +94,7 @@ func TestThresholdsSlideUpOnHighCrossing(t *testing.T) {
 	vh0, vl0 := c.Thresholds()
 	c.OnCrossing(CrossHigh, 10)
 	vh1, vl1 := c.Thresholds()
-	vq := c.Params().VQ
+	vq := c.params.VQ
 	if math.Abs(vh1-(vh0+vq)) > 1e-12 || math.Abs(vl1-(vl0+vq)) > 1e-12 {
 		t.Error("thresholds did not slide up by Vq")
 	}
@@ -273,7 +273,7 @@ func TestRecalibrate(t *testing.T) {
 func TestSetOPPClamps(t *testing.T) {
 	c, _ := New(DefaultParams(), 5.3, soc.MinOPP(), 0)
 	c.SetOPP(soc.OPP{FreqIdx: 99, Config: soc.CoreConfig{Little: 9, Big: 9}})
-	if !c.OPP().Valid() {
+	if !c.opp.Valid() {
 		t.Error("SetOPP stored invalid OPP")
 	}
 }

@@ -92,7 +92,6 @@ type Channel struct {
 	cfg       Config
 	name      string
 	threshold float64 // quantised, volts
-	updates   int
 }
 
 // NewChannel builds a channel with the given configuration and an initial
@@ -114,21 +113,14 @@ func (ch *Channel) Threshold() float64 { return ch.threshold }
 // armed and the CPU time spent on the SPI transaction.
 func (ch *Channel) Program(v float64) (actual, cpuSeconds float64) {
 	ch.threshold = ch.cfg.Quantize(v)
-	ch.updates++
 	return ch.threshold, ch.cfg.SPICPUSeconds
 }
-
-// Updates returns how many times the channel was reprogrammed.
-func (ch *Channel) Updates() int { return ch.updates }
 
 // InterruptDelay returns the time from the analogue crossing to the ISR
 // starting on the SoC.
 func (ch *Channel) InterruptDelay() float64 {
 	return ch.cfg.PropagationDelay + ch.cfg.ISRLatency
 }
-
-// ISRCPUSeconds returns CPU time consumed per interrupt service.
-func (ch *Channel) ISRCPUSeconds() float64 { return ch.cfg.ISRCPUSeconds }
 
 // Hardware is the complete two-channel monitoring circuit.
 type Hardware struct {
@@ -171,9 +163,6 @@ func (h *Hardware) RecordProgramming() float64 {
 
 // Interrupts returns the number of serviced interrupts.
 func (h *Hardware) Interrupts() int { return h.interrupts }
-
-// CPUSeconds returns total CPU time spent servicing the monitor.
-func (h *Hardware) CPUSeconds() float64 { return h.cpuSeconds }
 
 // CPUOverhead returns the fraction of wall time spent servicing the
 // monitor over a run of the given duration — the paper's Fig. 15 metric

@@ -94,9 +94,6 @@ func TestChannelProgramming(t *testing.T) {
 	if actual != ch.Threshold() {
 		t.Error("returned threshold disagrees with state")
 	}
-	if ch.Updates() != 1 {
-		t.Errorf("updates = %d", ch.Updates())
-	}
 	if ch.InterruptDelay() <= 0 {
 		t.Error("interrupt delay must be positive")
 	}
@@ -120,7 +117,7 @@ func TestHardwareAccounting(t *testing.T) {
 	if hw.Interrupts() != 2 {
 		t.Errorf("interrupts = %d", hw.Interrupts())
 	}
-	if hw.CPUSeconds() <= 0 {
+	if hw.cpuSeconds <= 0 {
 		t.Error("CPU accounting empty")
 	}
 	// Overhead: the paper's run measured ≈0.104%; two ISRs over an hour

@@ -33,9 +33,6 @@ type candHit struct {
 	t   float64
 }
 
-// NewIntegrator returns an empty reusable stepper.
-func NewIntegrator() *Integrator { return &Integrator{} }
-
 // ensure sizes the stage buffers for an n-dimensional state with nev
 // events, reusing existing capacity.
 func (in *Integrator) ensure(n, nev int) {
@@ -71,8 +68,7 @@ func (in *Integrator) ensure(n, nev int) {
 // Integrate advances dy/dt = f(t,y) from t0 to t1 with the Bogacki–
 // Shampine 3(2) embedded pair, adapting the step to the configured
 // tolerances and localising any events in opts. y is updated in place and
-// aliased by the returned Result. Semantics are identical to the RK23
-// function (which delegates here); the integrator's buffers are reused
+// aliased by the returned Result. The integrator's buffers are reused
 // across calls. Result.Hits — including each hit's Y snapshot — aliases
 // reused storage and is only valid until the next Integrate on this
 // Integrator; copy it to retain it.

@@ -22,7 +22,7 @@ func minStepOpts(rtol float64) Options {
 // accepting, keeping the error at the tolerance scale.
 func TestRK23MinStepMarginalAcceptConsistent(t *testing.T) {
 	y := []float64{1}
-	res, err := RK23(expDecay, 0, 1, y, minStepOpts(1e-6))
+	res, err := new(Integrator).Integrate(expDecay, 0, 1, y, minStepOpts(1e-6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestRK23MinStepMarginalAcceptConsistent(t *testing.T) {
 // committing a bad step.
 func TestRK23MinStepUnderflowStillErrors(t *testing.T) {
 	y := []float64{1}
-	_, err := RK23(expDecay, 0, 1, y, minStepOpts(1e-8))
+	_, err := new(Integrator).Integrate(expDecay, 0, 1, y, minStepOpts(1e-8))
 	if !errors.Is(err, ErrStepUnderflow) {
 		t.Fatalf("got err=%v, want ErrStepUnderflow", err)
 	}
@@ -49,15 +49,15 @@ func TestRK23MinStepUnderflowStillErrors(t *testing.T) {
 
 // TestIntegratorReuseMatchesRK23 verifies that one Integrator reused
 // across heterogeneous problems (different dimensions, events, segmented
-// continuation) is bit-identical to fresh RK23 calls.
+// continuation) is bit-identical to calls on fresh Integrators.
 func TestIntegratorReuseMatchesRK23(t *testing.T) {
-	integ := NewIntegrator()
+	integ := new(Integrator)
 
 	// Problem 1: 2-state harmonic oscillator.
 	ya := []float64{1, 0}
 	yb := []float64{1, 0}
 	resA, errA := integ.Integrate(harmonic, 0, 3, ya, Options{RTol: 1e-8, ATol: 1e-10})
-	resB, errB := RK23(harmonic, 0, 3, yb, Options{RTol: 1e-8, ATol: 1e-10})
+	resB, errB := new(Integrator).Integrate(harmonic, 0, 3, yb, Options{RTol: 1e-8, ATol: 1e-10})
 	if errA != nil || errB != nil {
 		t.Fatal(errA, errB)
 	}
@@ -78,7 +78,7 @@ func TestIntegratorReuseMatchesRK23(t *testing.T) {
 	yc := []float64{1}
 	yd := []float64{1}
 	resC, errC := integ.Integrate(expDecay, 0, 0.3, yc, Options{Events: ev()})
-	resD, errD := RK23(expDecay, 0, 0.3, yd, Options{Events: ev()})
+	resD, errD := new(Integrator).Integrate(expDecay, 0, 0.3, yd, Options{Events: ev()})
 	if errC != nil || errD != nil {
 		t.Fatal(errC, errD)
 	}
@@ -86,7 +86,7 @@ func TestIntegratorReuseMatchesRK23(t *testing.T) {
 		t.Errorf("segment 1: %g vs %g", yc[0], yd[0])
 	}
 	resC2, errC2 := integ.Integrate(expDecay, resC.T, 5, yc, Options{Events: ev()})
-	resD2, errD2 := RK23(expDecay, resD.T, 5, yd, Options{Events: ev()})
+	resD2, errD2 := new(Integrator).Integrate(expDecay, resD.T, 5, yd, Options{Events: ev()})
 	if errC2 != nil || errD2 != nil {
 		t.Fatal(errC2, errD2)
 	}
@@ -103,7 +103,7 @@ func TestIntegratorReuseMatchesRK23(t *testing.T) {
 // warm-up, Integrate performs no per-call heap allocations (event hits,
 // which copy the state out, are the only permitted source).
 func TestIntegratorSteadyStateAllocs(t *testing.T) {
-	integ := NewIntegrator()
+	integ := new(Integrator)
 	y := []float64{1, 0}
 	opts := Options{RTol: 1e-6, ATol: 1e-9}
 	if _, err := integ.Integrate(harmonic, 0, 1, y, opts); err != nil {
@@ -126,7 +126,7 @@ func TestIntegratorSteadyStateAllocs(t *testing.T) {
 // flat backing store makes a naive capacity check on the first sub-slice
 // pass even though the later sub-slices cannot hold n elements).
 func TestIntegratorDimensionGrowth(t *testing.T) {
-	integ := NewIntegrator()
+	integ := new(Integrator)
 	y1 := []float64{1}
 	if _, err := integ.Integrate(expDecay, 0, 1, y1, Options{}); err != nil {
 		t.Fatal(err)

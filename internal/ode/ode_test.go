@@ -18,7 +18,7 @@ func harmonic(_ float64, y, dydt []float64) {
 
 func TestRK23ExpDecayAccuracy(t *testing.T) {
 	y := []float64{1}
-	res, err := RK23(expDecay, 0, 5, y, Options{RTol: 1e-8, ATol: 1e-10})
+	res, err := new(Integrator).Integrate(expDecay, 0, 5, y, Options{RTol: 1e-8, ATol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestRK23ExpDecayAccuracy(t *testing.T) {
 
 func TestRK23Harmonic(t *testing.T) {
 	y := []float64{1, 0}
-	_, err := RK23(harmonic, 0, 2*math.Pi, y, Options{RTol: 1e-9, ATol: 1e-11})
+	_, err := new(Integrator).Integrate(harmonic, 0, 2*math.Pi, y, Options{RTol: 1e-9, ATol: 1e-11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestRK23Harmonic(t *testing.T) {
 func TestRK23TightensWithTolerance(t *testing.T) {
 	run := func(rtol float64) float64 {
 		y := []float64{1}
-		if _, err := RK23(expDecay, 0, 3, y, Options{RTol: rtol, ATol: rtol * 1e-2}); err != nil {
+		if _, err := new(Integrator).Integrate(expDecay, 0, 3, y, Options{RTol: rtol, ATol: rtol * 1e-2}); err != nil {
 			t.Fatal(err)
 		}
 		return math.Abs(y[0] - math.Exp(-3))
@@ -76,7 +76,7 @@ func TestRK4ConvergenceOrder(t *testing.T) {
 func TestRK23EventLocalisation(t *testing.T) {
 	// y = exp(-t) crosses 0.5 at t = ln 2.
 	y := []float64{1}
-	res, err := RK23(expDecay, 0, 5, y, Options{
+	res, err := new(Integrator).Integrate(expDecay, 0, 5, y, Options{
 		Events: []Event{{
 			Name:      "half",
 			G:         func(_ float64, y []float64) float64 { return y[0] - 0.5 },
@@ -105,7 +105,7 @@ func TestRK23EventLocalisation(t *testing.T) {
 func TestRK23EventDirectionFilter(t *testing.T) {
 	// Harmonic y0 = cos t crosses zero falling at π/2 and rising at 3π/2.
 	y := []float64{1, 0}
-	res, err := RK23(harmonic, 0, 7, y, Options{
+	res, err := new(Integrator).Integrate(harmonic, 0, 7, y, Options{
 		Events: []Event{{
 			Name:      "risingZero",
 			G:         func(_ float64, y []float64) float64 { return y[0] },
@@ -125,7 +125,7 @@ func TestRK23EventDirectionFilter(t *testing.T) {
 func TestRK23NonTerminalEventsAllRecorded(t *testing.T) {
 	// cos t has zeros at π/2 + kπ; over [0, 10] that is 3 zeros.
 	y := []float64{1, 0}
-	res, err := RK23(harmonic, 0, 10, y, Options{
+	res, err := new(Integrator).Integrate(harmonic, 0, 10, y, Options{
 		Events: []Event{{
 			Name: "zero",
 			G:    func(_ float64, y []float64) float64 { return y[0] },
@@ -170,23 +170,23 @@ func TestInvalidInputs(t *testing.T) {
 		run  func() error
 	}{
 		{"empty state", func() error {
-			_, err := RK23(expDecay, 0, 1, nil, Options{})
+			_, err := new(Integrator).Integrate(expDecay, 0, 1, nil, Options{})
 			return err
 		}},
 		{"backward span", func() error {
-			_, err := RK23(expDecay, 1, 0, []float64{1}, Options{})
+			_, err := new(Integrator).Integrate(expDecay, 1, 0, []float64{1}, Options{})
 			return err
 		}},
 		{"zero span", func() error {
-			_, err := RK23(expDecay, 1, 1, []float64{1}, Options{})
+			_, err := new(Integrator).Integrate(expDecay, 1, 1, []float64{1}, Options{})
 			return err
 		}},
 		{"NaN initial", func() error {
-			_, err := RK23(expDecay, 0, 1, []float64{math.NaN()}, Options{})
+			_, err := new(Integrator).Integrate(expDecay, 0, 1, []float64{math.NaN()}, Options{})
 			return err
 		}},
 		{"Inf initial", func() error {
-			_, err := RK23(expDecay, 0, 1, []float64{math.Inf(1)}, Options{})
+			_, err := new(Integrator).Integrate(expDecay, 0, 1, []float64{math.Inf(1)}, Options{})
 			return err
 		}},
 		{"rk4 bad step", func() error {
@@ -203,7 +203,7 @@ func TestInvalidInputs(t *testing.T) {
 
 func TestMaxStepsGuard(t *testing.T) {
 	y := []float64{1}
-	_, err := RK23(expDecay, 0, 1e9, y, Options{MaxStep: 1e-3, MaxSteps: 100})
+	_, err := new(Integrator).Integrate(expDecay, 0, 1e9, y, Options{MaxStep: 1e-3, MaxSteps: 100})
 	if err == nil {
 		t.Fatal("expected MaxSteps error")
 	}
@@ -212,7 +212,7 @@ func TestMaxStepsGuard(t *testing.T) {
 func TestOnStepCallback(t *testing.T) {
 	var times []float64
 	y := []float64{1}
-	_, err := RK23(expDecay, 0, 1, y, Options{
+	_, err := new(Integrator).Integrate(expDecay, 0, 1, y, Options{
 		OnStep: func(tt float64, _ []float64) { times = append(times, tt) },
 	})
 	if err != nil {
@@ -260,7 +260,7 @@ func TestQuickRK23MatchesRK4(t *testing.T) {
 		y0 := math.Mod(y00, 10)
 		rhs := func(_ float64, y, dydt []float64) { dydt[0] = lambda * y[0] }
 		ya := []float64{y0}
-		if _, err := RK23(rhs, 0, 2, ya, Options{RTol: 1e-9, ATol: 1e-12}); err != nil {
+		if _, err := new(Integrator).Integrate(rhs, 0, 2, ya, Options{RTol: 1e-9, ATol: 1e-12}); err != nil {
 			return false
 		}
 		yb := []float64{y0}

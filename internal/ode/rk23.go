@@ -1,17 +1,5 @@
 package ode
 
-// RK23 integrates dy/dt = f(t,y) from t0 to t1 with the Bogacki–Shampine
-// 3(2) embedded pair (the method behind MATLAB's ode23), adapting the step
-// to the configured tolerances and localising any events in opts. y is
-// updated in place and aliased by the returned Result.
-//
-// RK23 is a convenience wrapper that allocates a fresh Integrator per
-// call; callers integrating many short segments should hold a reusable
-// Integrator instead.
-func RK23(f RHS, t0, t1 float64, y []float64, opts Options) (Result, error) {
-	return NewIntegrator().Integrate(f, t0, t1, y, opts)
-}
-
 // hermite evaluates the cubic Hermite interpolant through (t0,y0,f0) and
 // (t1,y1,f1) at time tc, writing into out.
 func hermite(out []float64, t0, t1, tc float64, y0, y1, f0, f1 []float64) {

@@ -194,11 +194,6 @@ func (a *Array) PowerAt(v, g float64) (float64, error) {
 	return v * i, nil
 }
 
-// ShortCircuitCurrent returns I at V=0 for irradiance g.
-func (a *Array) ShortCircuitCurrent(g float64) (float64, error) {
-	return a.CurrentAt(0, g)
-}
-
 // OpenCircuitVoltage returns the terminal voltage at which the output
 // current is zero, found by bisection. Returns 0 for zero irradiance.
 func (a *Array) OpenCircuitVoltage(g float64) (float64, error) {

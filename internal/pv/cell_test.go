@@ -11,7 +11,7 @@ func TestSouthamptonCalibration(t *testing.T) {
 	if err := arr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	isc, err := arr.ShortCircuitCurrent(StandardIrradiance)
+	isc, err := arr.CurrentAt(0, StandardIrradiance)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,11 +68,11 @@ func TestCurrentMonotoneInVoltage(t *testing.T) {
 
 func TestCurrentScalesWithIrradiance(t *testing.T) {
 	arr := SouthamptonArray()
-	i1, err := arr.ShortCircuitCurrent(400)
+	i1, err := arr.CurrentAt(0, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
-	i2, err := arr.ShortCircuitCurrent(800)
+	i2, err := arr.CurrentAt(0, 800)
 	if err != nil {
 		t.Fatal(err)
 	}

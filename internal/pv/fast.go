@@ -72,9 +72,6 @@ func NewSolver(a *Array) *Solver {
 	return &Solver{a: a, vt: a.thermalVoltageString(), rsRp: a.Rs / a.Rp}
 }
 
-// Array returns the underlying array model.
-func (s *Solver) Array() *Array { return s.a }
-
 // CurrentAt solves the implicit single-diode equation for the terminal
 // current at voltage v and irradiance g, warm-starting Newton from the
 // previous root. Agrees with Array.CurrentAt to the solver tolerance

@@ -1,10 +1,8 @@
 package pv
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"sync"
 )
 
@@ -37,42 +35,6 @@ func (s Sinusoid) Irradiance(t float64) float64 {
 		return math.Max(0, s.Mean)
 	}
 	g := s.Mean + s.Amplitude*math.Sin(2*math.Pi*t/s.Period+s.Phase)
-	return math.Max(0, g)
-}
-
-// Step is one segment of a piecewise-constant profile.
-type Step struct {
-	From float64 // start time, seconds
-	G    float64 // irradiance from From onwards, W/m²
-}
-
-// Steps is a piecewise-constant profile; before the first step the first
-// level applies. Construct with NewSteps to guarantee ordering.
-type Steps struct {
-	steps []Step
-}
-
-// NewSteps builds a piecewise-constant profile, sorting segments by start
-// time. It returns an error when no segments are given.
-func NewSteps(steps ...Step) (*Steps, error) {
-	if len(steps) == 0 {
-		return nil, fmt.Errorf("pv: NewSteps needs at least one step")
-	}
-	ss := append([]Step(nil), steps...)
-	sort.SliceStable(ss, func(i, j int) bool { return ss[i].From < ss[j].From })
-	return &Steps{steps: ss}, nil
-}
-
-// Irradiance implements Profile.
-func (p *Steps) Irradiance(t float64) float64 {
-	g := p.steps[0].G
-	for _, s := range p.steps {
-		if t >= s.From {
-			g = s.G
-		} else {
-			break
-		}
-	}
 	return math.Max(0, g)
 }
 
@@ -251,10 +213,6 @@ func (c *Clouds) Irradiance(t float64) float64 {
 	return g
 }
 
-// NumEvents reports how many cloud events the overlay holds (useful for
-// tests and trace metadata).
-func (c *Clouds) NumEvents() int { return len(c.events) }
-
 // Offset shifts a profile in time: Irradiance(t) = Base.Irradiance(t+T0).
 // Use it to start a simulation mid-day (the paper's Fig. 12 run starts at
 // 10:30).
@@ -265,14 +223,3 @@ type Offset struct {
 
 // Irradiance implements Profile.
 func (o Offset) Irradiance(t float64) float64 { return o.Base.Irradiance(t + o.T0) }
-
-// Scaled multiplies a profile by a constant factor (e.g. panel soiling).
-type Scaled struct {
-	Base   Profile
-	Factor float64
-}
-
-// Irradiance implements Profile.
-func (s Scaled) Irradiance(t float64) float64 {
-	return math.Max(0, s.Factor*s.Base.Irradiance(t))
-}

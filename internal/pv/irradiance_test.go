@@ -35,26 +35,6 @@ func TestSinusoidDegenerate(t *testing.T) {
 	}
 }
 
-func TestStepsProfile(t *testing.T) {
-	p, err := NewSteps(
-		Step{From: 10, G: 500},
-		Step{From: 0, G: 100}, // out of order on purpose
-		Step{From: 20, G: 900},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := map[float64]float64{-1: 100, 0: 100, 5: 100, 10: 500, 15: 500, 20: 900, 99: 900}
-	for tt, want := range cases {
-		if got := p.Irradiance(tt); got != want {
-			t.Errorf("Irradiance(%g) = %g, want %g", tt, got, want)
-		}
-	}
-	if _, err := NewSteps(); err == nil {
-		t.Error("empty Steps should error")
-	}
-}
-
 func TestShadowProfile(t *testing.T) {
 	s := Shadow{Base: 1000, Depth: 0.6, Start: 10, Duration: 5, Edge: 1}
 	if g := s.Irradiance(5); g != 1000 {
@@ -132,7 +112,7 @@ func TestCloudsDeterministic(t *testing.T) {
 func TestCloudsBounded(t *testing.T) {
 	span := 3600.0
 	cl := NewClouds(Constant(1000), Overcast(span), 7)
-	if cl.NumEvents() == 0 {
+	if len(cl.events) == 0 {
 		t.Fatal("overcast generated no clouds")
 	}
 	for tt := 0.0; tt < span; tt += 5 {
@@ -145,8 +125,8 @@ func TestCloudsBounded(t *testing.T) {
 
 func TestFullSunHasNoClouds(t *testing.T) {
 	cl := NewClouds(Constant(1000), FullSun(), 1)
-	if cl.NumEvents() != 0 {
-		t.Errorf("full sun generated %d clouds", cl.NumEvents())
+	if len(cl.events) != 0 {
+		t.Errorf("full sun generated %d clouds", len(cl.events))
 	}
 	if cl.Irradiance(100) != 1000 {
 		t.Error("full sun attenuates")
@@ -158,17 +138,6 @@ func TestOffsetProfile(t *testing.T) {
 	o := Offset{Base: d, T0: 10.5 * 3600}
 	if got, want := o.Irradiance(0), d.Irradiance(10.5*3600); got != want {
 		t.Errorf("offset start %g, want %g", got, want)
-	}
-}
-
-func TestScaledProfile(t *testing.T) {
-	s := Scaled{Base: Constant(400), Factor: 0.5}
-	if s.Irradiance(0) != 200 {
-		t.Error("scaling wrong")
-	}
-	neg := Scaled{Base: Constant(400), Factor: -1}
-	if neg.Irradiance(0) != 0 {
-		t.Error("negative scaling should clamp to zero")
 	}
 }
 

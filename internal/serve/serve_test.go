@@ -426,6 +426,22 @@ func TestServeRequestValidation(t *testing.T) {
 	}
 }
 
+// TestServeRejectsOversizedBody: a recipe body over the 1 MiB limit is
+// answered 413, not cut short and misreported as an undecodable recipe,
+// and the server keeps admitting valid jobs afterwards.
+func TestServeRejectsOversizedBody(t *testing.T) {
+	e := newEnv(t, Config{})
+
+	huge := `{"scenario": "stress-clouds", "pad": "` + strings.Repeat("x", 2<<20) + `"}`
+	rec := httptest.NewRecorder()
+	e.s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(huge)))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("2 MiB body: HTTP %d (%s), want 413", rec.Code, rec.Body)
+	}
+
+	e.await(t, e.submit(t, "", testRecipe(11), http.StatusAccepted).ID)
+}
+
 // TestCacheEviction pins the LRU byte bound directly.
 func TestCacheEviction(t *testing.T) {
 	c := NewCache(100)

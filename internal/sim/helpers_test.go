@@ -10,3 +10,19 @@ func monitorCoarse() monitor.Config {
 	c.Taps = 17
 	return c
 }
+
+// stepProfile is a piecewise-constant irradiance profile: each step's
+// level G (W/m²) holds from its time T on, and the first level also
+// holds before it. Steps must be in time order.
+type stepProfile []struct{ T, G float64 }
+
+func (p stepProfile) Irradiance(t float64) float64 {
+	g := p[0].G
+	for _, s := range p {
+		if t < s.T {
+			break
+		}
+		g = s.G
+	}
+	return g
+}

@@ -181,16 +181,6 @@ func (r *Result) StabilityWithin(pct float64) float64 {
 	return math.NaN()
 }
 
-// StabilityBands returns the fractional band half-widths for which this
-// result can answer StabilityWithin without a VC trace.
-func (r *Result) StabilityBands() []float64 {
-	bands := make([]float64, len(r.stability))
-	for i := range r.stability {
-		bands[i] = r.stability[i].pct
-	}
-	return bands
-}
-
 // engine is the per-run mutable state.
 type engine struct {
 	cfg      Config

@@ -157,13 +157,10 @@ func TestControllerAvoidsBrownoutOnShadow(t *testing.T) {
 func TestBrownoutRestartResumesWork(t *testing.T) {
 	// Darkness kills the board; when the sun returns the platform
 	// reboots and continues accruing work on top of the old total.
-	steps, err := pv.NewSteps(
-		pv.Step{From: 0, G: 1000},
-		pv.Step{From: 10, G: 0},    // lights out
-		pv.Step{From: 25, G: 1000}, // sun returns
-	)
-	if err != nil {
-		t.Fatal(err)
+	steps := stepProfile{
+		{0, 1000},
+		{10, 0},    // lights out
+		{25, 1000}, // sun returns
 	}
 	plat := soc.NewDefaultPlatform()
 	plat.Reset(0, soc.MinOPP())
@@ -195,14 +192,7 @@ func TestBrownoutRestartResumesWork(t *testing.T) {
 }
 
 func TestNoRestartWithoutFlag(t *testing.T) {
-	steps, err := pv.NewSteps(
-		pv.Step{From: 0, G: 1000},
-		pv.Step{From: 5, G: 0},
-		pv.Step{From: 15, G: 1000},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
+	steps := stepProfile{{0, 1000}, {5, 0}, {15, 1000}}
 	plat := soc.NewDefaultPlatform()
 	plat.Reset(0, soc.MinOPP())
 	res, err := Run(Config{

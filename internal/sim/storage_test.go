@@ -114,10 +114,7 @@ func TestStorageEnergyAccounting(t *testing.T) {
 // size has died.
 func TestHybridReservoirRidesThroughCollapse(t *testing.T) {
 	// Full sun for 3 s, then darkness; a static mid OPP drains the node.
-	profile, err := pv.NewSteps(pv.Step{From: 0, G: 1000}, pv.Step{From: 3, G: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
+	profile := stepProfile{{0, 1000}, {3, 0}}
 	lifetime := func(st Storage) float64 {
 		plat := soc.NewDefaultPlatform()
 		plat.Reset(0, soc.OPP{FreqIdx: 2, Config: soc.CoreConfig{Little: 4}})

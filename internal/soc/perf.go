@@ -1,9 +1,6 @@
 package soc
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // PerfModel computes workload throughput at an OPP. Throughput combines a
 // per-cluster effective IPC (instructions per cycle, folded with memory
@@ -75,19 +72,4 @@ func (p *PerfModel) InstructionsPerSecond(o OPP) float64 {
 // the paper's Fig. 7.
 func (p *PerfModel) FramesPerSecond(o OPP) float64 {
 	return p.InstructionsPerSecond(o) / p.InstructionsPerFrame
-}
-
-// RendersPerMinute returns FramesPerSecond scaled to the Table II metric.
-func (p *PerfModel) RendersPerMinute(o OPP) float64 {
-	return p.FramesPerSecond(o) * 60
-}
-
-// EnergyPerInstruction returns joules per instruction at OPP o under full
-// load — a derived efficiency metric used by the ablation benches.
-func (p *PerfModel) EnergyPerInstruction(o OPP, pm *PowerModel) float64 {
-	ips := p.InstructionsPerSecond(o)
-	if ips == 0 {
-		return math.Inf(1)
-	}
-	return pm.PowerAtFullLoad(o) / ips
 }

@@ -76,28 +76,6 @@ func TestLittleOnlyWinsFPSPerWatt(t *testing.T) {
 	}
 }
 
-func TestRendersPerMinute(t *testing.T) {
-	pf := DefaultPerfModel()
-	o := MaxOPP()
-	if got, want := pf.RendersPerMinute(o), pf.FramesPerSecond(o)*60; math.Abs(got-want) > 1e-12 {
-		t.Errorf("RendersPerMinute = %g, want %g", got, want)
-	}
-}
-
-func TestEnergyPerInstruction(t *testing.T) {
-	pm := DefaultPowerModel()
-	pf := DefaultPerfModel()
-	// The LITTLE cluster at full clock beats the whole chip on energy per
-	// instruction (paper Fig. 7: the A7-only points are the efficient
-	// ones). Note the board's large fixed floor power means *very* low
-	// OPPs are not efficient — race-to-idle applies below ≈2 W.
-	eLittle := pf.EnergyPerInstruction(OPP{FreqIdx: NumFrequencyLevels - 1, Config: CoreConfig{Little: 4}}, pm)
-	eMax := pf.EnergyPerInstruction(MaxOPP(), pm)
-	if eLittle >= eMax {
-		t.Errorf("energy/instr at 4xA7@1.4 (%.3g) should beat max OPP (%.3g)", eLittle, eMax)
-	}
-}
-
 func TestPerfValidation(t *testing.T) {
 	bad := DefaultPerfModel()
 	bad.IPCBig = 0

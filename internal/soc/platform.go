@@ -46,7 +46,6 @@ func (o TransitionOrder) String() string {
 type atomicStep struct {
 	from, to   OPP
 	start, end float64
-	isHotplug  bool
 }
 
 // Platform is the simulated ODROID-XU4: it tracks the current OPP, pending
@@ -73,9 +72,6 @@ type Platform struct {
 
 	instructions float64
 	frames       float64
-	busySeconds  float64 // time spent inside transitions
-	dvfsSteps    int
-	hotplugSteps int
 	lastAccrue   float64
 }
 
@@ -128,9 +124,6 @@ func (p *Platform) Reset(t float64, boot OPP) {
 	p.lastAccrue = t
 	p.instructions = 0
 	p.frames = 0
-	p.busySeconds = 0
-	p.dvfsSteps = 0
-	p.hotplugSteps = 0
 	p.utilisation = 1
 }
 
@@ -145,7 +138,6 @@ func (p *Platform) Advance(now float64) error {
 		st := p.queue[p.qhead]
 		p.qhead++
 		// No workload progress during the step itself.
-		p.busySeconds += st.end - st.start
 		p.cur = st.to
 		p.lastAccrue = st.end
 	}
@@ -166,9 +158,6 @@ func (p *Platform) Advance(now float64) error {
 	p.now = now
 	return nil
 }
-
-// Now returns the platform's current simulation time.
-func (p *Platform) Now() float64 { return p.now }
 
 // SetUtilisation sets workload CPU utilisation (clamped to [0,1]).
 func (p *Platform) SetUtilisation(u float64) {
@@ -197,18 +186,9 @@ func (p *Platform) Kill() {
 // pending returns the live pending-step window of the queue.
 func (p *Platform) pending() []atomicStep { return p.queue[p.qhead:] }
 
-// EffectiveOPP returns the OPP whose performance applies right now.
-func (p *Platform) EffectiveOPP() OPP { return p.cur }
-
 // CommittedOPP returns the OPP the platform will reach once all pending
 // transitions complete.
 func (p *Platform) CommittedOPP() OPP { return p.committed }
-
-// InTransition reports whether an OPP change is in flight at time p.Now().
-func (p *Platform) InTransition() bool {
-	q := p.pending()
-	return len(q) > 0 && p.now >= q[0].start
-}
 
 // TransitionEnd returns the completion time of the last queued step and
 // ok=false when the queue is empty.
@@ -250,15 +230,6 @@ func (p *Platform) PowerDraw() float64 {
 	return p.Power.Power(p.cur, p.utilisation)
 }
 
-// CurrentDraw returns supply current in amps at supply voltage v: the
-// present PowerDraw through SupplyCurrent.
-func (p *Platform) CurrentDraw(v float64) float64 {
-	if v <= 0 || !p.alive {
-		return 0
-	}
-	return SupplyCurrent(p.PowerDraw(), v)
-}
-
 // SupplyCurrent returns the supply current in amps of a board drawing pw
 // watts at supply voltage v > 0, modelling the regulator as a
 // constant-power load. Below a deep under-voltage lockout the regulator
@@ -277,15 +248,6 @@ func (p *Platform) Instructions() float64 { return p.instructions }
 
 // Frames returns total completed rendered frames.
 func (p *Platform) Frames() float64 { return p.frames }
-
-// BusySeconds returns cumulative time spent inside OPP transitions.
-func (p *Platform) BusySeconds() float64 { return p.busySeconds }
-
-// TransitionCounts returns the number of DVFS and hot-plug steps executed
-// or queued so far.
-func (p *Platform) TransitionCounts() (dvfs, hotplug int) {
-	return p.dvfsSteps, p.hotplugSteps
-}
 
 // RequestOPP queues the atomic steps to move from the committed OPP to
 // target, ordered per order, starting no earlier than now (steps queue
@@ -331,15 +293,13 @@ func (p *Platform) RequestOPP(target OPP, now float64, order TransitionOrder) (c
 		var lat float64
 		if s.isHotplug {
 			lat, err = p.Latency.HotplugLatency(s.from.Config, s.to.Config, s.from.FreqIdx)
-			p.hotplugSteps++
 		} else {
 			lat, err = p.Latency.DVFSLatency(s.from.FreqIdx, s.to.FreqIdx, s.from.Config)
-			p.dvfsSteps++
 		}
 		if err != nil {
 			return now, err
 		}
-		p.queue = append(p.queue, atomicStep{from: s.from, to: s.to, start: t, end: t + lat, isHotplug: s.isHotplug})
+		p.queue = append(p.queue, atomicStep{from: s.from, to: s.to, start: t, end: t + lat})
 		t += lat
 	}
 	p.committed = target

@@ -81,17 +81,6 @@ func (m *PowerModel) Power(o OPP, utilisation float64) float64 {
 // paper's Fig. 4.
 func (m *PowerModel) PowerAtFullLoad(o OPP) float64 { return m.Power(o, 1) }
 
-// CurrentDraw converts board power into supply current at the given supply
-// voltage, modelling the board's switching regulator as a constant-power
-// load: I = P / V (regulator efficiency is folded into the calibrated
-// power numbers).
-func (m *PowerModel) CurrentDraw(o OPP, utilisation, supplyVolts float64) float64 {
-	if supplyVolts <= 0 {
-		return 0
-	}
-	return m.Power(o, utilisation) / supplyVolts
-}
-
 // MinPower returns the full-load power at the minimal OPP.
 func (m *PowerModel) MinPower() float64 { return m.PowerAtFullLoad(MinOPP()) }
 

@@ -82,19 +82,6 @@ func TestUtilisationScalesDynamicOnly(t *testing.T) {
 	}
 }
 
-func TestCurrentDraw(t *testing.T) {
-	pm := DefaultPowerModel()
-	o := MaxOPP()
-	p := pm.PowerAtFullLoad(o)
-	i := pm.CurrentDraw(o, 1, 5.0)
-	if math.Abs(i-p/5.0) > 1e-12 {
-		t.Errorf("CurrentDraw = %g, want %g", i, p/5.0)
-	}
-	if pm.CurrentDraw(o, 1, 0) != 0 {
-		t.Error("zero-volt draw should be 0")
-	}
-}
-
 func TestHighestOPPWithin(t *testing.T) {
 	pm := DefaultPowerModel()
 	pf := DefaultPerfModel()

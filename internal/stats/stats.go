@@ -1,7 +1,7 @@
 // Package stats provides the small statistical toolkit the experiment
 // harness needs: summary statistics, percentiles, time-weighted histograms
 // (used for the paper's Fig. 13 "time spent at each operating voltage"
-// analysis) and linear regression for model calibration checks.
+// analysis).
 //
 // Quantiles come from two places: Quantile / Summarize give exact order
 // statistics when the sample fits in memory (campaign and study
@@ -209,48 +209,4 @@ func (h *Histogram) ModeBin() int {
 		}
 	}
 	return best
-}
-
-// LinearFit holds the result of an ordinary least squares line fit y=a+bx.
-type LinearFit struct {
-	Intercept float64 // a
-	Slope     float64 // b
-	R2        float64 // coefficient of determination
-}
-
-// FitLine performs ordinary least squares on paired samples. It returns an
-// error if the inputs differ in length, hold fewer than two points, or all
-// x values coincide.
-func FitLine(xs, ys []float64) (LinearFit, error) {
-	if len(xs) != len(ys) {
-		return LinearFit{}, fmt.Errorf("stats: FitLine length mismatch %d vs %d", len(xs), len(ys))
-	}
-	if len(xs) < 2 {
-		return LinearFit{}, fmt.Errorf("stats: FitLine needs >=2 points, got %d", len(xs))
-	}
-	n := float64(len(xs))
-	var sx, sy float64
-	for i := range xs {
-		sx += xs[i]
-		sy += ys[i]
-	}
-	mx, my := sx/n, sy/n
-	var sxx, sxy, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxx += dx * dx
-		sxy += dx * dy
-		syy += dy * dy
-	}
-	if sxx == 0 {
-		return LinearFit{}, errors.New("stats: FitLine degenerate x values")
-	}
-	b := sxy / sxx
-	fit := LinearFit{Intercept: my - b*mx, Slope: b}
-	if syy > 0 {
-		fit.R2 = (sxy * sxy) / (sxx * syy)
-	} else {
-		fit.R2 = 1
-	}
-	return fit, nil
 }

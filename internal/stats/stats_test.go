@@ -105,40 +105,3 @@ func TestHistogramValidation(t *testing.T) {
 		t.Error("empty range accepted")
 	}
 }
-
-func TestFitLineExact(t *testing.T) {
-	xs := []float64{0, 1, 2, 3}
-	ys := []float64{1, 3, 5, 7} // y = 1 + 2x
-	fit, err := FitLine(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(fit.Intercept-1) > 1e-12 || math.Abs(fit.Slope-2) > 1e-12 {
-		t.Errorf("fit %+v", fit)
-	}
-	if math.Abs(fit.R2-1) > 1e-12 {
-		t.Errorf("R² = %g, want 1", fit.R2)
-	}
-}
-
-func TestFitLineErrors(t *testing.T) {
-	if _, err := FitLine([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("length mismatch accepted")
-	}
-	if _, err := FitLine([]float64{1}, []float64{1}); err == nil {
-		t.Error("single point accepted")
-	}
-	if _, err := FitLine([]float64{2, 2, 2}, []float64{1, 2, 3}); err == nil {
-		t.Error("degenerate x accepted")
-	}
-}
-
-func TestFitLineFlat(t *testing.T) {
-	fit, err := FitLine([]float64{0, 1, 2}, []float64{4, 4, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fit.Slope != 0 || fit.Intercept != 4 || fit.R2 != 1 {
-		t.Errorf("flat fit %+v", fit)
-	}
-}

@@ -98,67 +98,6 @@ func TestHistogramQuantileEdges(t *testing.T) {
 	}
 }
 
-func TestOnlineMatchesSummarize(t *testing.T) {
-	for name, xs := range quantileInputs(3000) {
-		var o Online
-		for _, x := range xs {
-			o.Add(x)
-		}
-		s, err := Summarize(xs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if o.N() != s.N || o.Min() != s.Min || o.Max() != s.Max {
-			t.Errorf("%s: online extrema/count diverge", name)
-		}
-		if math.Abs(o.Mean()-s.Mean) > 1e-9*math.Max(1, math.Abs(s.Mean)) {
-			t.Errorf("%s: mean %.12f vs %.12f", name, o.Mean(), s.Mean)
-		}
-		if math.Abs(o.StdDev()-s.StdDev) > 1e-6*math.Max(1, s.StdDev) {
-			t.Errorf("%s: stddev %.12f vs %.12f", name, o.StdDev(), s.StdDev)
-		}
-	}
-}
-
-func TestOnlineMergeEquivalent(t *testing.T) {
-	xs := quantileInputs(4000)["random"]
-	var whole Online
-	for _, x := range xs {
-		whole.Add(x)
-	}
-	// Split into uneven shards, accumulate independently, merge in order.
-	var merged Online
-	for _, cut := range [][2]int{{0, 17}, {17, 1000}, {1000, 1001}, {1001, 4000}} {
-		var shard Online
-		for _, x := range xs[cut[0]:cut[1]] {
-			shard.Add(x)
-		}
-		merged.Merge(shard)
-	}
-	if merged.N() != whole.N() || merged.Min() != whole.Min() || merged.Max() != whole.Max() {
-		t.Error("merge diverges on count/extrema")
-	}
-	if math.Abs(merged.Mean()-whole.Mean()) > 1e-9 ||
-		math.Abs(merged.Variance()-whole.Variance()) > 1e-6 {
-		t.Errorf("merge diverges: mean %.12f vs %.12f, var %.9f vs %.9f",
-			merged.Mean(), whole.Mean(), merged.Variance(), whole.Variance())
-	}
-	// Merging an empty accumulator is a no-op; merging into empty copies.
-	before := merged
-	merged.Merge(Online{})
-	if merged != before {
-		t.Error("merging empty changed the accumulator")
-	}
-	var fresh Online
-	fresh.Merge(whole)
-	if fresh != whole {
-		t.Error("merging into empty should copy")
-	}
-	if !math.IsNaN((&Online{}).Mean()) || !math.IsNaN((&Online{}).StdDev()) {
-		t.Error("empty Online should report NaN moments")
-	}
-}
-
 func TestSummaryQuartiles(t *testing.T) {
 	s, err := Summarize([]float64{1, 2, 3, 4, 5})
 	if err != nil {

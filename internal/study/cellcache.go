@@ -126,19 +126,6 @@ func (st Study) CellIdentities() ([]CellIdentity, error) {
 	return out, nil
 }
 
-// CellRange returns cell i's contiguous task range — the ledger slice
-// its repetitions occupy (cells are rep-major: task = cell·reps + rep).
-func (st Study) CellRange(i int) (TaskRange, error) {
-	p, err := st.plan()
-	if err != nil {
-		return TaskRange{}, err
-	}
-	if i < 0 || i >= len(p.cells) {
-		return TaskRange{}, fmt.Errorf("study: cell %d outside [0,%d)", i, len(p.cells))
-	}
-	return TaskRange{Lo: i * p.reps, Hi: (i + 1) * p.reps}, nil
-}
-
 // ExtractCellRecords cuts cell i's task records out of a checkpoint and
 // re-bases their indices to repetition order (0..reps-1) — the storable
 // form a content-addressed cache keys by CellIdentity.Digest. The

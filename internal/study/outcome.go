@@ -87,16 +87,6 @@ type StudyOutcome struct {
 	Results []TaskResult
 }
 
-// CellByKey returns the cell outcome with the given canonical key.
-func (o *StudyOutcome) CellByKey(key string) (CellOutcome, bool) {
-	for _, c := range o.Cells {
-		if c.Cell.Key == key {
-			return c, true
-		}
-	}
-	return CellOutcome{}, false
-}
-
 // outcomeAccum is the streaming heart of study aggregation: results
 // are folded one at a time, strictly in canonical ledger order, into
 // the scalar summary accumulators and the cell/study histograms. Both

@@ -1,7 +1,7 @@
 // Package trace provides time-series recording and analysis utilities used
 // throughout the power-neutral simulation stack: sampled signal storage,
-// band/stability metrics, resampling, numerical integration of signals over
-// time, CSV export and lightweight ASCII rendering for terminal reports.
+// band/stability metrics, numerical integration of signals over time, CSV
+// export and lightweight ASCII rendering for terminal reports.
 //
 // All series store (time, value) pairs with time in seconds and the value in
 // whatever engineering unit the producer documents (volts, watts, hertz...).
@@ -9,13 +9,12 @@ package trace
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"sort"
 )
 
 // Series is an append-only sampled signal. Samples are expected to be
-// appended in non-decreasing time order; AppendStrict enforces this.
+// appended in non-decreasing time order.
 type Series struct {
 	// Name identifies the signal (e.g. "Vc", "Pharvest").
 	Name string
@@ -31,8 +30,8 @@ func NewSeries(name, unit string) *Series {
 	return &Series{Name: name, Unit: unit}
 }
 
-// Append adds a sample. Out-of-order times are accepted (some producers
-// record pre-sorted blocks); call Sort before analysis if unsure.
+// Append adds a sample. Times are not checked: the analyses assume the
+// caller appends them in non-decreasing order.
 func (s *Series) Append(t, v float64) {
 	s.times = append(s.times, t)
 	s.values = append(s.values, v)
@@ -50,16 +49,6 @@ func (s *Series) AppendDedupe(t, v float64) bool {
 	}
 	s.Append(t, v)
 	return true
-}
-
-// AppendStrict adds a sample, returning an error if t precedes the last
-// recorded time.
-func (s *Series) AppendStrict(t, v float64) error {
-	if n := len(s.times); n > 0 && t < s.times[n-1] {
-		return fmt.Errorf("trace: sample at t=%g precedes last time %g", t, s.times[n-1])
-	}
-	s.Append(t, v)
-	return nil
 }
 
 // Len returns the number of samples.
@@ -81,36 +70,6 @@ func (s *Series) First() (t, v float64) { return s.times[0], s.values[0] }
 func (s *Series) Last() (t, v float64) {
 	n := len(s.times) - 1
 	return s.times[n], s.values[n]
-}
-
-// Duration returns lastTime - firstTime, or 0 for series with <2 samples.
-func (s *Series) Duration() float64 {
-	if len(s.times) < 2 {
-		return 0
-	}
-	return s.times[len(s.times)-1] - s.times[0]
-}
-
-// Sort orders samples by time, preserving the relative order of equal
-// timestamps.
-func (s *Series) Sort() {
-	type pair struct{ t, v float64 }
-	ps := make([]pair, len(s.times))
-	for i := range s.times {
-		ps[i] = pair{s.times[i], s.values[i]}
-	}
-	sort.SliceStable(ps, func(i, j int) bool { return ps[i].t < ps[j].t })
-	for i, p := range ps {
-		s.times[i], s.values[i] = p.t, p.v
-	}
-}
-
-// Clone returns a deep copy of the series.
-func (s *Series) Clone() *Series {
-	c := &Series{Name: s.Name, Unit: s.Unit}
-	c.times = append([]float64(nil), s.times...)
-	c.values = append([]float64(nil), s.values...)
-	return c
 }
 
 // ErrEmpty is returned by analyses that need at least one sample.
@@ -255,61 +214,6 @@ func (s *Series) FractionWithinBand(lo, hi float64) (float64, error) {
 func (s *Series) FractionWithinPercent(target, pct float64) (float64, error) {
 	d := math.Abs(target * pct)
 	return s.FractionWithinBand(target-d, target+d)
-}
-
-// TimeBelow returns the total time (zero-order hold) spent strictly below
-// the threshold.
-func (s *Series) TimeBelow(threshold float64) (float64, error) {
-	if len(s.values) == 0 {
-		return 0, ErrEmpty
-	}
-	var below float64
-	for i := 0; i < len(s.times)-1; i++ {
-		if s.values[i] < threshold {
-			below += s.times[i+1] - s.times[i]
-		}
-	}
-	return below, nil
-}
-
-// FirstCrossingBelow returns the first sample time at which the value drops
-// below the threshold, and ok=false if it never does.
-func (s *Series) FirstCrossingBelow(threshold float64) (t float64, ok bool) {
-	for i := range s.values {
-		if s.values[i] < threshold {
-			return s.times[i], true
-		}
-	}
-	return 0, false
-}
-
-// Resample returns a new series sampled at a fixed period using linear
-// interpolation, spanning the original time range.
-func (s *Series) Resample(period float64) (*Series, error) {
-	if len(s.times) == 0 {
-		return nil, ErrEmpty
-	}
-	if period <= 0 {
-		return nil, fmt.Errorf("trace: non-positive resample period %g", period)
-	}
-	out := NewSeries(s.Name, s.Unit)
-	t0, _ := s.First()
-	t1, _ := s.Last()
-	// Sample times are computed as t0 + i·period rather than by repeated
-	// addition, which accumulates rounding error over long spans (hours of
-	// simulated time at sub-second periods drift by many microseconds).
-	for i := 0; ; i++ {
-		t := t0 + float64(i)*period
-		if t > t1+period/2 {
-			break
-		}
-		v, err := s.Interp(t)
-		if err != nil {
-			return nil, err
-		}
-		out.Append(t, v)
-	}
-	return out, nil
 }
 
 // Decimate returns a copy keeping every k-th sample (k >= 1), always

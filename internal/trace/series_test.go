@@ -15,22 +15,6 @@ func mkSeries(pts ...[2]float64) *Series {
 	return s
 }
 
-func TestAppendStrict(t *testing.T) {
-	s := NewSeries("x", "")
-	if err := s.AppendStrict(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AppendStrict(1, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AppendStrict(0.5, 3); err == nil {
-		t.Error("out-of-order append accepted")
-	}
-	if s.Len() != 2 {
-		t.Errorf("len = %d", s.Len())
-	}
-}
-
 func TestMinMaxMean(t *testing.T) {
 	s := mkSeries([2]float64{0, 3}, [2]float64{1, 1}, [2]float64{2, 5})
 	if m, _ := s.Min(); m != 1 {
@@ -113,78 +97,6 @@ func TestFractionWithinBand(t *testing.T) {
 	}
 }
 
-func TestTimeBelowAndFirstCrossing(t *testing.T) {
-	s := mkSeries([2]float64{0, 5}, [2]float64{2, 3.9}, [2]float64{4, 5}, [2]float64{6, 5})
-	below, err := s.TimeBelow(4.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(below-2) > 1e-12 {
-		t.Errorf("time below %g, want 2", below)
-	}
-	tc, ok := s.FirstCrossingBelow(4.0)
-	if !ok || tc != 2 {
-		t.Errorf("first crossing at %g, ok=%v", tc, ok)
-	}
-	if _, ok := s.FirstCrossingBelow(1.0); ok {
-		t.Error("phantom crossing")
-	}
-}
-
-func TestResample(t *testing.T) {
-	s := mkSeries([2]float64{0, 0}, [2]float64{10, 10})
-	r, err := s.Resample(2.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Len() != 5 {
-		t.Fatalf("resampled to %d points", r.Len())
-	}
-	for i := 0; i < r.Len(); i++ {
-		tt, v := r.At(i)
-		if math.Abs(v-tt) > 1e-9 {
-			t.Errorf("resample point (%g, %g) off the line", tt, v)
-		}
-	}
-	if _, err := s.Resample(0); err == nil {
-		t.Error("zero period accepted")
-	}
-}
-
-// TestResampleNoAccumulatedDrift is the regression test for the float
-// accumulation bug: computing sample times by repeated `t += period`
-// drifts by many ULPs over a long span, so resampling a multi-hour trace
-// at a period with no exact binary representation produced sample times
-// visibly off the grid (and could drop the final sample). Times must be
-// exactly t0 + i·period.
-func TestResampleNoAccumulatedDrift(t *testing.T) {
-	s := NewSeries("v", "V")
-	// Six simulated hours, sampled every 7 s.
-	const span = 6 * 3600.0
-	for tt := 0.0; tt <= span; tt += 7 {
-		s.Append(tt, tt)
-	}
-	const period = 0.1 // no exact binary representation
-	r, err := s.Resample(period)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t1, _ := s.Last()
-	wantN := int(math.Floor((t1+period/2)/period)) + 1
-	if r.Len() != wantN {
-		t.Fatalf("resampled to %d points, want %d", r.Len(), wantN)
-	}
-	for i := 0; i < r.Len(); i += 1000 {
-		tt, _ := r.At(i)
-		if want := float64(i) * period; tt != want {
-			t.Fatalf("sample %d at t=%.17g, want exactly %.17g (drift %g)", i, tt, want, tt-want)
-		}
-	}
-	if last, _ := r.Last(); math.Abs(last-t1) > period {
-		t.Errorf("final sample at t=%g, want ≈%g", last, t1)
-	}
-}
-
 func TestAppendDedupe(t *testing.T) {
 	s := NewSeries("v", "V")
 	if !s.AppendDedupe(0, 1) {
@@ -228,32 +140,6 @@ func TestDecimateKeepsEnds(t *testing.T) {
 	}
 }
 
-func TestSortAndClone(t *testing.T) {
-	s := mkSeries([2]float64{3, 30}, [2]float64{1, 10}, [2]float64{2, 20})
-	c := s.Clone()
-	s.Sort()
-	for i := 1; i < s.Len(); i++ {
-		t0, _ := s.At(i - 1)
-		t1, _ := s.At(i)
-		if t1 < t0 {
-			t.Fatal("not sorted")
-		}
-	}
-	// Clone must be unaffected by the sort.
-	if tt, _ := c.At(0); tt != 3 {
-		t.Error("clone aliases original")
-	}
-}
-
-func TestDuration(t *testing.T) {
-	if mkSeries([2]float64{2, 0}, [2]float64{7, 0}).Duration() != 5 {
-		t.Error("duration wrong")
-	}
-	if mkSeries([2]float64{2, 0}).Duration() != 0 {
-		t.Error("single-sample duration should be 0")
-	}
-}
-
 // TestQuickBandFractionBounded: the band fraction is always in [0,1].
 func TestQuickBandFractionBounded(t *testing.T) {
 	f := func(vals []float64, lo, hi float64) bool {
@@ -275,7 +161,7 @@ func TestQuickBandFractionBounded(t *testing.T) {
 	}
 }
 
-func TestASCIIPlotAndSparkline(t *testing.T) {
+func TestASCIIPlot(t *testing.T) {
 	s := mkSeries([2]float64{0, 0}, [2]float64{1, 1}, [2]float64{2, 4}, [2]float64{3, 2})
 	plot := ASCIIPlot(s, 20, 5)
 	if !strings.Contains(plot, "*") {
@@ -283,13 +169,6 @@ func TestASCIIPlotAndSparkline(t *testing.T) {
 	}
 	if ASCIIPlot(NewSeries("e", ""), 20, 5) != "(empty)\n" {
 		t.Error("empty plot rendering wrong")
-	}
-	sp := Sparkline(s, 8)
-	if len([]rune(sp)) != 8 {
-		t.Errorf("sparkline length %d, want 8", len([]rune(sp)))
-	}
-	if Sparkline(NewSeries("e", ""), 8) != "" {
-		t.Error("empty sparkline should be empty")
 	}
 }
 

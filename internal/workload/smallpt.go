@@ -208,9 +208,6 @@ type Image struct {
 	Pixels        []Vec // row-major, Pixels[y*Width+x]
 }
 
-// At returns the pixel at (x, y).
-func (im *Image) At(x, y int) Vec { return im.Pixels[y*im.Width+x] }
-
 // MeanLuminance returns the average of the RGB means across the image —
 // a cheap regression metric for tests.
 func (im *Image) MeanLuminance() float64 {

@@ -1,8 +1,7 @@
 // Package workload provides the benchmark workloads of the paper's
 // evaluation: a faithful Go port of the smallpt global-illumination path
 // tracer [12] (the CPU-saturating, embarrassingly parallel application the
-// authors ran on the ODROID-XU4), and synthetic utilisation profiles for
-// driving the simulated governors.
+// authors ran on the ODROID-XU4).
 //
 // The path tracer is a real renderer: examples and benchmarks execute it
 // on the host to produce images and FPS measurements, while the
@@ -51,9 +50,6 @@ func (v Vec) Norm() Vec {
 	}
 	return v.Scale(1 / l)
 }
-
-// Length returns the Euclidean norm.
-func (v Vec) Length() float64 { return math.Sqrt(v.Dot(v)) }
 
 // MaxComponent returns the largest of X, Y, Z.
 func (v Vec) MaxComponent() float64 {
