@@ -13,8 +13,8 @@ import (
 )
 
 // exportAllowlist names internal/ exports kept without a non-test
-// caller. A key is a package import path (every export of it) or
-// "path.Name" (one identifier).
+// caller. A key is a package import path (every export of it),
+// "path.Name" (one identifier) or "path.Type.Method" (one method).
 var exportAllowlist = map[string]string{
 	"pnps/internal/testutil":     "test-support package: its callers are _test.go files by design",
 	"pnps/internal/coord/faults": "test-support package: the fault-injection harness driven only by tests",
@@ -43,8 +43,9 @@ var stdlibMethods = map[string]bool{
 // flags live code.
 func TestInternalExportsHaveCallers(t *testing.T) {
 	type decl struct{ pkg, name string }
+	type method struct{ pkg, recv, name string }
 	decls := map[decl]token.Position{} // package-level exports under internal/
-	methods := map[decl]token.Position{}
+	methods := map[method]token.Position{}
 	used := map[decl]bool{}
 	selectors := map[string]bool{}
 
@@ -108,7 +109,7 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 				if dc.Recv != nil {
 					typ := recvType(dc.Recv.List[0].Type)
 					if internal && dc.Name.IsExported() {
-						methods[decl{pkg, typ + "." + name}] = fset.Position(dc.Pos())
+						methods[method{pkg, typ, name}] = fset.Position(dc.Pos())
 					}
 					mark(dc, map[string]bool{typ: true, name: true})
 					continue
@@ -152,10 +153,9 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 			offenders = append(offenders, pos.String()+": "+d.pkg+"."+d.name)
 		}
 	}
-	for d, pos := range methods {
-		method := d.name[strings.Index(d.name, ".")+1:]
-		if !selectors[method] && !stdlibMethods[method] && !allowed(d.pkg, d.name) {
-			offenders = append(offenders, pos.String()+": "+d.pkg+".("+d.name[:strings.Index(d.name, ".")]+")."+method)
+	for m, pos := range methods {
+		if !selectors[m.name] && !stdlibMethods[m.name] && !allowed(m.pkg, m.recv+"."+m.name) {
+			offenders = append(offenders, pos.String()+": "+m.pkg+".("+m.recv+")."+m.name)
 		}
 	}
 	if len(offenders) > 0 {

